@@ -14,7 +14,7 @@
 use std::time::Duration;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use pv_core::eval::{evaluate_few_runs_sharded, few_runs_spec};
+use pv_core::eval::few_runs_spec;
 use pv_core::pipeline::EncodedCorpus;
 use pv_core::shard::{CampaignSource, ShardSource, ShardedCorpus};
 use pv_core::usecase1::FewRunsConfig;
@@ -131,7 +131,7 @@ fn bench_encode_throughput(c: &mut Criterion) {
 }
 
 /// LOGO evaluation through shards vs the monolithic encoded corpus on
-/// the paper roster. The two numbers this group reports are the ≤5%
+/// the paper roster — one evaluate function over two `FoldSource`s. The two numbers this group reports are the ≤5%
 /// overhead claim; the tripwire assertion below only catches gross
 /// regressions so noisy CI boxes don't flake.
 fn bench_eval_overhead(c: &mut Criterion) {
@@ -144,7 +144,7 @@ fn bench_eval_overhead(c: &mut Criterion) {
         .build()
         .unwrap();
     let mono = evaluate_few_runs_encoded(&enc, cfg).unwrap();
-    let sharded = evaluate_few_runs_sharded(&sh, cfg).unwrap();
+    let sharded = evaluate_few_runs_encoded(&sh, cfg).unwrap();
     assert_eq!(mono, sharded, "sharded eval must be bit-identical");
 
     let time = |f: &dyn Fn()| {
@@ -160,7 +160,7 @@ fn bench_eval_overhead(c: &mut Criterion) {
         black_box(evaluate_few_runs_encoded(&enc, cfg).unwrap());
     });
     let t_shard = time(&|| {
-        black_box(evaluate_few_runs_sharded(&sh, cfg).unwrap());
+        black_box(evaluate_few_runs_encoded(&sh, cfg).unwrap());
     });
     let ratio = t_shard.as_secs_f64() / t_mono.as_secs_f64();
     println!("sharded/monolithic eval ratio: {ratio:.3} ({t_shard:.1?} vs {t_mono:.1?})");
@@ -177,7 +177,7 @@ fn bench_eval_overhead(c: &mut Criterion) {
         b.iter(|| evaluate_few_runs_encoded(black_box(&enc), cfg).unwrap())
     });
     g.bench_function("sharded_logo_60bench_shard16", |b| {
-        b.iter(|| evaluate_few_runs_sharded(black_box(&sh), cfg).unwrap())
+        b.iter(|| evaluate_few_runs_encoded(black_box(&sh), cfg).unwrap())
     });
     g.finish();
 }

@@ -298,13 +298,13 @@ fn main() {
     let flush = |engine: &ServeEngine| {
         if let Some(path) = &telemetry_out {
             if let Err(e) =
-                pv_obs::telemetry::write_atomic(path, &format!("{}\n", engine.stats_json()))
+                pv_obs::telemetry::write_atomic(path, format!("{}\n", engine.stats_json()))
             {
                 eprintln!("pv-serve: telemetry flush failed: {e}");
             }
         }
         if let Some(path) = &telemetry_prom {
-            if let Err(e) = pv_obs::telemetry::write_atomic(path, &engine.telemetry_prometheus()) {
+            if let Err(e) = pv_obs::telemetry::write_atomic(path, engine.telemetry_prometheus()) {
                 eprintln!("pv-serve: prometheus flush failed: {e}");
             }
         }
@@ -319,14 +319,14 @@ fn main() {
             let flush = |engine: &ServeEngine| {
                 if let Some(path) = &telemetry_out {
                     if let Err(e) =
-                        pv_obs::telemetry::write_atomic(path, &format!("{}\n", engine.stats_json()))
+                        pv_obs::telemetry::write_atomic(path, format!("{}\n", engine.stats_json()))
                     {
                         eprintln!("pv-serve: telemetry flush failed: {e}");
                     }
                 }
                 if let Some(path) = &telemetry_prom {
                     if let Err(e) =
-                        pv_obs::telemetry::write_atomic(path, &engine.telemetry_prometheus())
+                        pv_obs::telemetry::write_atomic(path, engine.telemetry_prometheus())
                     {
                         eprintln!("pv-serve: prometheus flush failed: {e}");
                     }

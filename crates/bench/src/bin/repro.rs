@@ -1858,13 +1858,8 @@ fn sweep_cmd(args: &[String], obs: &ObsFlags) {
                         campaign(pv_sysmodel::SystemModel::intel(), n),
                         &grid.few_runs_encoding(),
                     );
-                    let mut sweep = Sweep::few_runs_sharded(&sh)
-                        .with_max_retries(max_retries)
-                        .with_faults(faults);
-                    if let Some(c) = cache.clone() {
-                        sweep = sweep.with_cache(c);
-                    }
-                    run_sweep_streaming(&sweep, &grid, progress)
+                    let sweep = Sweep::few_runs(&sh);
+                    run_sweep(sweep, &grid, max_retries, faults, cache.clone(), progress)
                 }
                 _ => {
                     let (src_sys, dst_sys) = if reverse {
@@ -1881,13 +1876,8 @@ fn sweep_cmd(args: &[String], obs: &ObsFlags) {
                     let (src_spec, dst_spec) = grid.cross_system_encoding_for_runs(runs);
                     let src = build_sharded("source", campaign(src_sys, n), &src_spec);
                     let dst = build_sharded("destination", campaign(dst_sys, n), &dst_spec);
-                    let mut sweep = Sweep::cross_system_sharded(&src, &dst)
-                        .with_max_retries(max_retries)
-                        .with_faults(faults);
-                    if let Some(c) = cache.clone() {
-                        sweep = sweep.with_cache(c);
-                    }
-                    run_sweep_streaming(&sweep, &grid, progress)
+                    let sweep = Sweep::cross_system(&src, &dst);
+                    run_sweep(sweep, &grid, max_retries, faults, cache.clone(), progress)
                 }
             }
         };
@@ -2098,13 +2088,8 @@ fn monolithic_sweep(p: MonolithicSweep<'_>) -> SweepReport {
                     EncodedCorpus::build(primary, &grid.few_runs_encoding()),
                 );
                 println!("[setup] corpus encoded in {:.1?}", t.elapsed());
-                let mut sweep = Sweep::few_runs(&enc)
-                    .with_max_retries(max_retries)
-                    .with_faults(faults);
-                if let Some(c) = cache.clone() {
-                    sweep = sweep.with_cache(c);
-                }
-                run_sweep_streaming(&sweep, grid, progress)
+                let sweep = Sweep::few_runs(&enc);
+                run_sweep(sweep, grid, max_retries, faults, cache.clone(), progress)
             }
             _ => {
                 let dst_corpus = secondary.expect("uc2 destination");
@@ -2112,13 +2097,8 @@ fn monolithic_sweep(p: MonolithicSweep<'_>) -> SweepReport {
                 let src = encode_or_die("source", EncodedCorpus::build(primary, &src_spec));
                 let dst = encode_or_die("destination", EncodedCorpus::build(dst_corpus, &dst_spec));
                 println!("[setup] corpora encoded in {:.1?}", t.elapsed());
-                let mut sweep = Sweep::cross_system(&src, &dst)
-                    .with_max_retries(max_retries)
-                    .with_faults(faults);
-                if let Some(c) = cache.clone() {
-                    sweep = sweep.with_cache(c);
-                }
-                run_sweep_streaming(&sweep, grid, progress)
+                let sweep = Sweep::cross_system(&src, &dst);
+                run_sweep(sweep, grid, max_retries, faults, cache.clone(), progress)
             }
         }
     };
@@ -2199,13 +2179,31 @@ fn print_failure_summary(report: &SweepReport) -> bool {
     report.failed == 0 && report.quarantined == 0
 }
 
+/// Arms `sweep` with the run's retry budget, fault plan and cache, then
+/// runs it streaming. Whole and sharded corpora reach this through the
+/// same `Sweep` constructors.
+fn run_sweep(
+    sweep: Sweep<'_>,
+    grid: &GridSpec,
+    max_retries: u32,
+    faults: FaultPlan,
+    cache: Option<CellCache>,
+    progress: bool,
+) -> SweepReport {
+    let mut sweep = sweep.with_max_retries(max_retries).with_faults(faults);
+    if let Some(c) = cache {
+        sweep = sweep.with_cache(c);
+    }
+    run_sweep_streaming(&sweep, grid, progress)
+}
+
 /// Minimum spacing between `--progress` stderr lines.
 const PROGRESS_EVERY: Duration = Duration::from_millis(250);
 
 /// Runs the sweep, printing one line per cell the moment it completes.
 /// With `progress` set, a rate-limited status line (completed/total, hit
 /// rate, failures, ETA) also goes to stderr.
-fn run_sweep_streaming(sweep: &Sweep<'_, '_>, grid: &GridSpec, progress: bool) -> SweepReport {
+fn run_sweep_streaming(sweep: &Sweep<'_>, grid: &GridSpec, progress: bool) -> SweepReport {
     let n_cells = sweep.cells(grid).len();
     let done = AtomicUsize::new(0);
     let hits = AtomicUsize::new(0);

@@ -8,8 +8,6 @@
 //! representation does when handed the *true* encoding — the irreducible
 //! error of the representation itself, with no model in the loop).
 
-use std::borrow::Cow;
-
 use rand::SeedableRng;
 
 use pv_ml::{Distance, KnnRegressor, Regressor};
@@ -19,7 +17,7 @@ use pv_stats::StatsError;
 use pv_sysmodel::Corpus;
 
 use crate::eval::{BenchScore, EvalSummary, RECONSTRUCTION_SAMPLES};
-use crate::pipeline::{EncodedCorpus, EncodingSpec, FoldRunner, FoldTruth, FoldView, SeedMode};
+use crate::pipeline::{EncodedCorpus, EncodingSpec, FoldRunner, FoldView, SeedMode};
 use crate::repr::{DistributionRepr, HistogramRepr, ReprKind, REL_TIME_RANGE};
 
 /// Leave-one-out kNN evaluation with an explicit distance metric and `k`,
@@ -61,7 +59,6 @@ pub fn evaluate_knn_variant_encoded(
     seed: u64,
 ) -> Result<EvalSummary, StatsError> {
     let repr = ReprKind::PearsonRnd.build();
-    let corpus = enc.corpus();
     let runner = FoldRunner {
         n_folds: enc.len(),
         seed,
@@ -70,7 +67,7 @@ pub fn evaluate_knn_variant_encoded(
         n_samples: RECONSTRUCTION_SAMPLES,
         repr: repr.as_ref(),
     };
-    runner.run(
+    let run = runner.run(
         |_fold_seed| Box::new(KnnRegressor::new(k).with_distance(distance)) as Box<dyn Regressor>,
         |held, include| {
             let query = enc.profile(s, held, 0)?.to_vec();
@@ -95,14 +92,10 @@ pub fn evaluate_knn_variant_encoded(
                 },
             ))
         },
-        |held| {
-            Ok(FoldTruth {
-                id: corpus.benchmarks[held].id,
-                rel: Cow::Borrowed(enc.rel_times_sorted(held)),
-                sorted: true,
-            })
-        },
-    )
+        enc,
+        None,
+    )?;
+    Ok(run.summary)
 }
 
 /// The reconstruction floor of a representation: encode each benchmark's

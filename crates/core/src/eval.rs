@@ -7,25 +7,30 @@
 //! paper are KDEs over these 60 per-benchmark scores.
 //!
 //! Both evaluations run on the shared [`pipeline`](crate::pipeline)
-//! layer: profiles and target encodings are computed once per corpus
-//! ([`EncodedCorpus`]) and each fold is assembled by row slicing inside a
-//! [`FoldRunner`]. The `*_encoded` variants accept a prebuilt cache so
-//! sweeps over models/representations on the same corpus (the paper's
-//! grids) pay for encoding once.
-
-use std::borrow::Cow;
+//! layer, and each has exactly one evaluate path: a private function
+//! written once over [`FoldSource`], so an [`EncodedCorpus`] and a
+//! [`crate::shard::ShardedCorpus`] of one campaign run the same fold
+//! assembly and the same fold loop (bit-identical results at any shard
+//! layout). The public entry points are thin wrappers:
+//!
+//! * `evaluate_*(corpus, cfg)` encodes the corpus and evaluates it;
+//! * `evaluate_*_encoded(source, cfg)` evaluates a prebuilt source, so
+//!   sweeps over models/representations on the same corpus (the paper's
+//!   grids) pay for encoding once;
+//! * `evaluate_*_incremental(source, cfg, prior)` additionally serves
+//!   folds from a prior-fold cache (see [`crate::incremental`]).
 
 use serde::{Deserialize, Serialize};
 
 use pv_stats::descriptive::FiveNumber;
+use pv_stats::fingerprint::Fnv1a;
 use pv_stats::StatsError;
 use pv_sysmodel::{BenchmarkId, Corpus};
 
-use crate::pipeline::{EncodedCorpus, EncodingSpec, FoldRunner, FoldTruth, FoldView, SeedMode};
+use crate::incremental::{FoldCache, FoldEntry, IncrementalEval};
+use crate::model::ModelKind;
+use crate::pipeline::{EncodedCorpus, EncodingSpec, FoldRunner, FoldSource, FoldView, SeedMode};
 use crate::repr::DistributionRepr;
-use crate::shard::{
-    cross_system_assemble_sharded, few_runs_assemble_sharded, sharded_truth, ShardedCorpus,
-};
 use crate::usecase1::FewRunsConfig;
 use crate::usecase2::CrossSystemConfig;
 
@@ -100,130 +105,113 @@ pub fn evaluate_few_runs(corpus: &Corpus, cfg: FewRunsConfig) -> Result<EvalSumm
     evaluate_few_runs_encoded(&enc, cfg)
 }
 
-/// The [`FoldRunner`] a use-case-1 evaluation uses (shared with the
-/// incremental layer so both paths are one code path, not two copies
-/// that could drift).
-pub(crate) fn few_runs_runner<'r>(
-    n_folds: usize,
-    cfg: &FewRunsConfig,
-    repr: &'r dyn DistributionRepr,
-) -> FoldRunner<'r> {
-    FoldRunner {
-        n_folds,
-        seed: cfg.seed,
-        seed_mode: SeedMode::PerFold,
-        standardize: cfg.model.wants_standardization(),
-        n_samples: RECONSTRUCTION_SAMPLES,
-        repr,
-    }
+/// [`evaluate_few_runs`] on a prebuilt source — an [`EncodedCorpus`] or a
+/// [`crate::shard::ShardedCorpus`].
+///
+/// Bit-identical to the uncached function for the same campaign, config
+/// and seed, at any shard layout and thread count; the source must cover
+/// [`few_runs_spec`] for this config.
+///
+/// # Errors
+/// Fails when the source is missing required entries, plus anything
+/// [`evaluate_few_runs`] can fail with.
+pub fn evaluate_few_runs_encoded(
+    src: &dyn FoldSource,
+    cfg: FewRunsConfig,
+) -> Result<EvalSummary, StatsError> {
+    few_runs(src, cfg, None).map(|r| r.summary)
 }
 
-/// The fold-assembly closure of use case 1: `windows` profile rows per
-/// included benchmark, all mapping to the benchmark's target encoding.
+/// Incremental [`evaluate_few_runs_encoded`]: bit-identical summary, but
+/// folds whose fingerprints (or kNN neighbour lists) match verified
+/// `prior` entries are served from cache. With an empty `prior` this is a
+/// cold run that additionally returns the fold entries to seed the next.
 ///
-/// Row order is include-rank-major (`rank × windows + w`), so when the
-/// corpus grows, surviving rows keep their positions and only new rows
-/// append — the property the kNN delta path in
-/// [`crate::incremental`] relies on.
-pub(crate) fn few_runs_assemble<'a, 'c>(
-    enc: &'a EncodedCorpus<'c>,
+/// Fold fingerprints hash the per-benchmark content digests, which are
+/// the same for both source kinds at any shard layout, so entries written
+/// by an [`EncodedCorpus`] run serve a [`crate::shard::ShardedCorpus`] run
+/// of the same campaign and vice versa.
+///
+/// # Errors
+/// Everything the non-incremental evaluation can fail with.
+pub fn evaluate_few_runs_incremental(
+    src: &dyn FoldSource,
     cfg: FewRunsConfig,
-) -> impl Fn(usize, Vec<usize>) -> Result<FoldView<'a>, StatsError> + Send + Sync + 'a {
-    let s = cfg.n_profile_runs;
-    let windows = cfg.profiles_per_benchmark.max(1);
-    move |held, include| {
-        let query = enc.profile(s, held, 0)?.to_vec();
-        let x_dim = query.len();
-        let y_dim = enc.target(cfg.repr, held)?.len();
+    prior: &[FoldEntry],
+) -> Result<IncrementalEval, StatsError> {
+    few_runs(src, cfg, Some(prior))
+}
+
+/// The one evaluate path of use case 1.
+fn few_runs(
+    src: &dyn FoldSource,
+    cfg: FewRunsConfig,
+    prior: Option<&[FoldEntry]>,
+) -> Result<IncrementalEval, StatsError> {
+    let _span = pv_obs::span!(
+        "pv.core.eval.few_runs",
+        repr = cfg.repr.name(),
+        model = cfg.model.name(),
+        s = cfg.n_profile_runs,
+    );
+    let cache = prior
+        .map(|p| FoldCache::new("uc1", &cfg, cfg.model, src.bench_fingerprints().to_vec(), p))
+        .transpose()?;
+    let repr = cfg.repr.build();
+    let (s, windows) = (cfg.n_profile_runs, cfg.profiles_per_benchmark.max(1));
+    // `windows` profile rows per included benchmark, all mapping to the
+    // benchmark's target encoding. Row order is include-rank-major
+    // (`rank × windows + w`), so when the corpus grows, surviving rows
+    // keep their positions and only new rows append — the property the
+    // kNN delta path in [`crate::incremental`] relies on.
+    let assemble = move |held: usize, include: Vec<usize>| {
+        let (query, y_dim) = src.with_block(held, |b| {
+            Ok((
+                b.profile(s, held, 0)?.to_vec(),
+                b.target(cfg.repr, held)?.len(),
+            ))
+        })?;
         Ok(FoldView::new(
             include.len() * windows,
-            x_dim,
+            query.len(),
             y_dim,
             query,
             move |sink| {
-                for &bi in &include {
-                    let target = enc.target(cfg.repr, bi)?;
-                    for w in 0..windows {
-                        sink(enc.profile(s, bi, w)?, target, bi)?;
+                src.for_each_block(&include, &mut |run, b| {
+                    for &bi in run {
+                        let target = b.target(cfg.repr, bi)?;
+                        for w in 0..windows {
+                            sink(b.profile(s, bi, w)?, target, bi)?;
+                        }
                     }
-                }
-                Ok(())
+                    Ok(())
+                })
             },
         ))
-    }
-}
-
-/// The fold-truth closure of use case 1: score against the held-out
-/// benchmark's measured relative times.
-pub(crate) fn few_runs_truth<'a, 'c>(
-    enc: &'a EncodedCorpus<'c>,
-) -> impl Fn(usize) -> Result<FoldTruth<'a>, StatsError> + Send + Sync + 'a {
-    let corpus = enc.corpus();
-    move |held| {
-        Ok(FoldTruth {
-            id: corpus.benchmarks[held].id,
-            rel: Cow::Borrowed(enc.rel_times_sorted(held)),
-            sorted: true,
-        })
-    }
-}
-
-/// [`evaluate_few_runs`] on a prebuilt cache.
-///
-/// Bit-identical to the uncached function for the same corpus, config and
-/// seed; the cache must cover [`few_runs_spec`] for this config.
-///
-/// # Errors
-/// Fails when the cache is missing required entries, plus anything
-/// [`evaluate_few_runs`] can fail with.
-pub fn evaluate_few_runs_encoded(
-    enc: &EncodedCorpus,
-    cfg: FewRunsConfig,
-) -> Result<EvalSummary, StatsError> {
-    let _span = pv_obs::span!(
-        "pv.core.eval.few_runs",
-        repr = cfg.repr.name(),
-        model = cfg.model.name(),
-        s = cfg.n_profile_runs,
-    );
-    let repr = cfg.repr.build();
-    let runner = few_runs_runner(enc.len(), &cfg, repr.as_ref());
-    runner.run(
+    };
+    runner(src.len(), cfg.seed, cfg.model, repr.as_ref()).run(
         |fold_seed| cfg.model.build(fold_seed),
-        few_runs_assemble(enc, cfg),
-        few_runs_truth(enc),
+        assemble,
+        src,
+        cache.as_ref(),
     )
 }
 
-/// [`evaluate_few_runs`] over a sharded corpus.
-///
-/// Bit-identical to the monolithic paths for the same campaign, config
-/// and seed, at any shard layout and thread count: folds stream their
-/// rows shard by shard in the same include-rank-major order the
-/// monolithic assembly produces, and per-fold seeds never depend on the
-/// layout. Peak memory is bounded by the corpus's resident-shard budget,
-/// not the corpus size.
-///
-/// # Errors
-/// Fails when the sharded corpus's spec does not cover
-/// [`few_runs_spec`], plus anything [`evaluate_few_runs`] can fail with.
-pub fn evaluate_few_runs_sharded(
-    sh: &ShardedCorpus<'_>,
-    cfg: FewRunsConfig,
-) -> Result<EvalSummary, StatsError> {
-    let _span = pv_obs::span!(
-        "pv.core.eval.few_runs",
-        repr = cfg.repr.name(),
-        model = cfg.model.name(),
-        s = cfg.n_profile_runs,
-    );
-    let repr = cfg.repr.build();
-    let runner = few_runs_runner(sh.len(), &cfg, repr.as_ref());
-    runner.run(
-        |fold_seed| cfg.model.build(fold_seed),
-        few_runs_assemble_sharded(sh, cfg),
-        sharded_truth(sh),
-    )
+/// The [`FoldRunner`] both use cases evaluate with.
+fn runner(
+    n_folds: usize,
+    seed: u64,
+    model: ModelKind,
+    repr: &dyn DistributionRepr,
+) -> FoldRunner<'_> {
+    FoldRunner {
+        n_folds,
+        seed,
+        seed_mode: SeedMode::PerFold,
+        standardize: model.wants_standardization(),
+        n_samples: RECONSTRUCTION_SAMPLES,
+        repr,
+    }
 }
 
 /// The cache specs (source, destination) [`evaluate_cross_system`] needs.
@@ -259,178 +247,127 @@ pub fn evaluate_cross_system(
     evaluate_cross_system_encoded(&src_enc, &dst_enc, cfg)
 }
 
-/// Validates a use-case-2 corpus pair: aligned rosters on two distinct
-/// systems.
-pub(crate) fn validate_cross_system_pair(
-    src_corpus: &Corpus,
-    dst_corpus: &Corpus,
-) -> Result<(), StatsError> {
-    if src_corpus.len() != dst_corpus.len() {
-        return Err(StatsError::invalid(
-            "evaluate_cross_system",
-            "source and destination corpora cover different rosters",
-        ));
-    }
-    if src_corpus.system == dst_corpus.system {
-        return Err(StatsError::invalid(
-            "evaluate_cross_system",
-            "source and destination are the same system",
-        ));
-    }
-    for (s, d) in src_corpus.benchmarks.iter().zip(&dst_corpus.benchmarks) {
-        if s.id != d.id {
-            return Err(StatsError::invalid(
-                "evaluate_cross_system",
-                "corpora rosters are misaligned",
-            ));
-        }
-    }
-    Ok(())
-}
-
-/// The [`FoldRunner`] a use-case-2 evaluation uses.
-pub(crate) fn cross_system_runner<'r>(
-    n_folds: usize,
-    cfg: &CrossSystemConfig,
-    repr: &'r dyn DistributionRepr,
-) -> FoldRunner<'r> {
-    FoldRunner {
-        n_folds,
-        seed: cfg.seed,
-        seed_mode: SeedMode::PerFold,
-        standardize: cfg.model.wants_standardization(),
-        n_samples: RECONSTRUCTION_SAMPLES,
-        repr,
-    }
-}
-
-/// The fold-assembly closure of use case 2: one joined source row per
-/// included benchmark mapping to its destination target encoding.
+/// [`evaluate_cross_system`] on prebuilt sources (either kind, and the
+/// two may differ in kind and shard layout).
 ///
-/// Row order is include-rank order, so corpus growth appends rows
-/// without moving survivors (see [`few_runs_assemble`]).
-pub(crate) fn cross_system_assemble<'a, 'c>(
-    src: &'a EncodedCorpus<'c>,
-    dst: &'a EncodedCorpus<'c>,
-    cfg: CrossSystemConfig,
-) -> impl Fn(usize, Vec<usize>) -> Result<FoldView<'a>, StatsError> + Send + Sync + 'a {
-    let s_eff = cfg.profile_runs.min(src.corpus().n_runs).max(1);
-    move |held, include| {
-        let query = src.joined(s_eff, cfg.repr, held)?.to_vec();
-        let x_dim = query.len();
-        let y_dim = dst.target(cfg.repr, held)?.len();
-        Ok(FoldView::new(
-            include.len(),
-            x_dim,
-            y_dim,
-            query,
-            move |sink| {
-                for &bi in &include {
-                    sink(
-                        src.joined(s_eff, cfg.repr, bi)?,
-                        dst.target(cfg.repr, bi)?,
-                        bi,
-                    )?;
-                }
-                Ok(())
-            },
-        ))
-    }
-}
-
-/// The fold-truth closure of use case 2: score against the held-out
-/// benchmark's measured relative times on the *destination* system.
-pub(crate) fn cross_system_truth<'a, 'c>(
-    dst: &'a EncodedCorpus<'c>,
-) -> impl Fn(usize) -> Result<FoldTruth<'a>, StatsError> + Send + Sync + 'a {
-    let dst_corpus = dst.corpus();
-    move |held| {
-        Ok(FoldTruth {
-            id: dst_corpus.benchmarks[held].id,
-            rel: Cow::Borrowed(dst.rel_times_sorted(held)),
-            sorted: true,
-        })
-    }
-}
-
-/// [`evaluate_cross_system`] on prebuilt caches.
-///
-/// Bit-identical to the uncached function for the same corpora, config
-/// and seed; the caches must cover [`cross_system_specs`].
+/// Bit-identical to the uncached function for the same campaigns, config
+/// and seed; the sources must cover [`cross_system_specs`].
 ///
 /// # Errors
 /// Fails on mismatched corpora, missing cache entries, plus anything
 /// [`evaluate_cross_system`] can fail with.
 pub fn evaluate_cross_system_encoded(
-    src: &EncodedCorpus,
-    dst: &EncodedCorpus,
+    src: &dyn FoldSource,
+    dst: &dyn FoldSource,
     cfg: CrossSystemConfig,
 ) -> Result<EvalSummary, StatsError> {
-    let _span = pv_obs::span!(
-        "pv.core.eval.cross_system",
-        repr = cfg.repr.name(),
-        model = cfg.model.name(),
-        s = cfg.profile_runs,
-    );
-    validate_cross_system_pair(src.corpus(), dst.corpus())?;
-    let repr = cfg.repr.build();
-    let runner = cross_system_runner(src.len(), &cfg, repr.as_ref());
-    runner.run(
-        |fold_seed| cfg.model.build(fold_seed),
-        cross_system_assemble(src, dst, cfg),
-        cross_system_truth(dst),
-    )
+    cross_system(src, dst, cfg, None).map(|r| r.summary)
 }
 
-/// Validates a use-case-2 sharded pair: aligned rosters on two distinct
-/// systems (shard layouts may differ — folds pin source and destination
-/// shards independently).
-pub(crate) fn validate_cross_system_sharded(
-    src: &ShardedCorpus<'_>,
-    dst: &ShardedCorpus<'_>,
+/// Incremental [`evaluate_cross_system_encoded`]; see
+/// [`evaluate_few_runs_incremental`].
+///
+/// Per-fold fingerprints hash the *pair* of source/destination benchmark
+/// digests, so a change on either system invalidates exactly the folds
+/// that observe it.
+///
+/// # Errors
+/// Everything the non-incremental evaluation can fail with.
+pub fn evaluate_cross_system_incremental(
+    src: &dyn FoldSource,
+    dst: &dyn FoldSource,
+    cfg: CrossSystemConfig,
+    prior: &[FoldEntry],
+) -> Result<IncrementalEval, StatsError> {
+    cross_system(src, dst, cfg, Some(prior))
+}
+
+/// Validates a use-case-2 pair: aligned rosters on two distinct systems.
+fn validate_cross_system_pair(
+    src: &dyn FoldSource,
+    dst: &dyn FoldSource,
 ) -> Result<(), StatsError> {
-    if src.len() != dst.len() || src.ids() != dst.ids() {
-        return Err(StatsError::invalid(
-            "evaluate_cross_system",
-            "source and destination corpora cover different rosters",
-        ));
+    let invalid = |detail| Err(StatsError::invalid("evaluate_cross_system", detail));
+    if src.len() != dst.len() {
+        return invalid("source and destination corpora cover different rosters");
     }
     if src.system() == dst.system() {
-        return Err(StatsError::invalid(
-            "evaluate_cross_system",
-            "source and destination are the same system",
-        ));
+        return invalid("source and destination are the same system");
+    }
+    if (0..src.len()).any(|bi| src.id(bi) != dst.id(bi)) {
+        return invalid("corpora rosters are misaligned");
     }
     Ok(())
 }
 
-/// [`evaluate_cross_system`] over sharded corpora.
-///
-/// Bit-identical to the monolithic paths for the same campaigns, config
-/// and seed, at any shard layouts and thread count (see
-/// [`evaluate_few_runs_sharded`]).
-///
-/// # Errors
-/// Fails on mismatched corpora or uncovered specs, plus anything
-/// [`evaluate_cross_system`] can fail with.
-pub fn evaluate_cross_system_sharded(
-    src: &ShardedCorpus<'_>,
-    dst: &ShardedCorpus<'_>,
+/// The one evaluate path of use case 2.
+fn cross_system(
+    src: &dyn FoldSource,
+    dst: &dyn FoldSource,
     cfg: CrossSystemConfig,
-) -> Result<EvalSummary, StatsError> {
+    prior: Option<&[FoldEntry]>,
+) -> Result<IncrementalEval, StatsError> {
     let _span = pv_obs::span!(
         "pv.core.eval.cross_system",
         repr = cfg.repr.name(),
         model = cfg.model.name(),
         s = cfg.profile_runs,
     );
-    validate_cross_system_sharded(src, dst)?;
+    validate_cross_system_pair(src, dst)?;
+    let cache = prior
+        .map(|p| {
+            let pairs = src
+                .bench_fingerprints()
+                .iter()
+                .zip(dst.bench_fingerprints())
+                .map(|(&s, &d)| {
+                    let mut h = Fnv1a::new();
+                    h.write_str("pv-bench-pair");
+                    h.write_u64(s);
+                    h.write_u64(d);
+                    h.finish()
+                })
+                .collect();
+            FoldCache::new("uc2", &cfg, cfg.model, pairs, p)
+        })
+        .transpose()?;
     let repr = cfg.repr.build();
-    let runner = cross_system_runner(src.len(), &cfg, repr.as_ref());
-    runner.run(
+    let s_eff = cfg.profile_runs.min(src.n_runs()).max(1);
+    // One joined source row per included benchmark mapping to its
+    // destination target encoding, include-rank order (corpus growth
+    // appends rows without moving survivors). Source and destination
+    // blocks are pinned independently: their shard layouts may differ.
+    let assemble = move |held: usize, include: Vec<usize>| {
+        let query = src.with_block(held, |b| Ok(b.joined(s_eff, cfg.repr, held)?.to_vec()))?;
+        let y_dim = dst.with_block(held, |b| Ok(b.target(cfg.repr, held)?.len()))?;
+        Ok(FoldView::new(
+            include.len(),
+            query.len(),
+            y_dim,
+            query,
+            move |sink| {
+                src.for_each_block(&include, &mut |run, sb| {
+                    dst.for_each_block(run, &mut |run, db| {
+                        for &bi in run {
+                            sink(
+                                sb.joined(s_eff, cfg.repr, bi)?,
+                                db.target(cfg.repr, bi)?,
+                                bi,
+                            )?;
+                        }
+                        Ok(())
+                    })
+                })
+            },
+        ))
+    };
+    // Folds score against the held-out benchmark's measured relative
+    // times on the *destination* system.
+    runner(src.len(), cfg.seed, cfg.model, repr.as_ref()).run(
         |fold_seed| cfg.model.build(fold_seed),
-        cross_system_assemble_sharded(src, dst, cfg),
-        sharded_truth(dst),
+        assemble,
+        dst,
+        cache.as_ref(),
     )
 }
 

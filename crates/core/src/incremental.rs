@@ -42,27 +42,25 @@
 //! Every cached entry carries an integrity digest over its own fields; a
 //! tampered or torn entry fails [`FoldEntry::verify`] and is recomputed,
 //! never trusted (mirroring the sweep cell cache's verified loads).
+//!
+//! This module holds only the per-fold reuse decision ([`FoldCache`]);
+//! the fold loop is the one every evaluation runs,
+//! [`crate::pipeline::FoldRunner::run`], and the entry points are
+//! [`crate::eval::evaluate_few_runs_incremental`] and
+//! [`crate::eval::evaluate_cross_system_incremental`], which accept
+//! either corpus kind.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use pv_ml::{KnnRegressor, Regressor};
 use pv_stats::fingerprint::Fnv1a;
 use pv_stats::StatsError;
 
-use crate::eval::{
-    cross_system_assemble, cross_system_runner, cross_system_truth, few_runs_assemble,
-    few_runs_runner, few_runs_truth, validate_cross_system_pair, validate_cross_system_sharded,
-    BenchScore, EvalSummary,
-};
-use crate::pipeline::{EncodedCorpus, FoldRunner, FoldTruth, FoldView};
-use crate::shard::{
-    cross_system_assemble_sharded, few_runs_assemble_sharded, sharded_truth, ShardedCorpus,
-};
-use crate::usecase1::FewRunsConfig;
-use crate::usecase2::CrossSystemConfig;
+use crate::eval::{BenchScore, EvalSummary};
+use crate::model::ModelKind;
+use crate::pipeline::PreparedFold;
 
 /// Domain tag of the fold fingerprint; bump to orphan all cached folds
 /// on any change to fold evaluation semantics.
@@ -186,7 +184,9 @@ impl FoldCacheStats {
 
 /// An incremental evaluation's full result: the summary (bit-identical
 /// to a cold run), the fold entries to persist for the next run, and
-/// the hit/delta/miss tallies.
+/// the hit/delta/miss tallies. [`crate::pipeline::FoldRunner::run`]
+/// returns one for every run; without a prior-fold cache the entries
+/// are empty and the tallies zero.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IncrementalEval {
     /// The aggregate, bit-identical to the non-incremental evaluation.
@@ -203,364 +203,181 @@ fn is_strict_prefix(old: &[u64], new: &[u64]) -> bool {
     old.len() < new.len() && new[..old.len()] == *old
 }
 
-/// The generic incremental fold loop shared by both use cases.
+/// The prior-fold cache of one evaluation: everything fold identity and
+/// reuse decisions read, plus the hit/delta/miss tallies.
 ///
-/// For each fold: an exact fold-fingerprint match against a verified
-/// prior entry reuses the cached score outright; otherwise, when
-/// `delta_model` is available and the prior entry describes the same
-/// held-out benchmark under this config with a strictly-grown training
-/// set, the fold is prepared and the cached score reused iff the
-/// recomputed canonical neighbour set matches; everything else is a
-/// full recompute. Folds run in parallel; rayon preserves order, and
-/// every reuse is bit-identical by construction, so the summary is
-/// independent of both thread count and cache state.
-/// The cache-side inputs of [`run_folds`]: everything fold identity and
-/// reuse decisions read, as opposed to the evaluation closures.
-struct FoldReuse<'p> {
+/// [`crate::pipeline::FoldRunner::run`] offers every fold to
+/// [`FoldCache::serve`]: an exact fold-fingerprint match against a
+/// verified prior entry reuses the cached score outright; otherwise, when
+/// the model is delta-eligible (kNN) and the prior entry describes the
+/// same held-out benchmark under this config with a strictly-grown
+/// training set, the fold is prepared and the cached score reused iff
+/// the recomputed canonical neighbour set matches; everything else is a
+/// full recompute. Every reuse is bit-identical by construction, so the
+/// summary is independent of both thread count and cache state.
+pub struct FoldCache<'p> {
     /// Per-benchmark content digests, roster order.
-    bench_fps: &'p [u64],
+    bench_fps: Vec<u64>,
     /// Canonical config JSON (hashed into every fold fingerprint).
-    config_json: &'p str,
+    config_json: String,
     /// The neighbour-delta probe model, when the config's model is
     /// delta-eligible (kNN).
     delta_model: Option<KnnRegressor>,
     /// Fold entries from a previous run (any corpus state).
     prior: &'p [FoldEntry],
+    hits: AtomicUsize,
+    deltas: AtomicUsize,
+    misses: AtomicUsize,
 }
 
-fn run_folds<'a, M, A, T>(
-    runner: &FoldRunner<'_>,
-    build_model: M,
-    assemble: A,
-    truth: T,
-    reuse: FoldReuse<'_>,
-) -> Result<IncrementalEval, StatsError>
-where
-    M: Fn(u64) -> Box<dyn Regressor> + Send + Sync,
-    A: Fn(usize, Vec<usize>) -> Result<FoldView<'a>, StatsError> + Send + Sync,
-    T: Fn(usize) -> Result<FoldTruth<'a>, StatsError> + Send + Sync,
-{
-    let FoldReuse {
-        bench_fps,
-        config_json,
-        delta_model,
-        prior,
-    } = reuse;
-    let _span = pv_obs::span!("pv.core.pipeline.logo_eval", folds = runner.n_folds);
-    let hits = AtomicUsize::new(0);
-    let deltas = AtomicUsize::new(0);
-    let misses = AtomicUsize::new(0);
-    let folds: Result<Vec<FoldEntry>, StatsError> = (0..runner.n_folds)
-        .into_par_iter()
-        .map(|held| {
-            let _fold_span = pv_obs::span!("pv.core.pipeline.fold", held = held);
-            let held_fp = bench_fps[held];
-            let train_fps: Vec<u64> = (0..runner.n_folds)
-                .filter(|&i| i != held)
-                .map(|i| bench_fps[i])
-                .collect();
-            let fold_fp = fold_fingerprint(config_json, held, held_fp, &train_fps);
-            // Verification at the point of consumption: a prior entry
-            // that fails its integrity digest is simply absent.
-            let cached = prior.iter().find(|e| e.held_index == held && e.verify());
+impl<'p> FoldCache<'p> {
+    /// A cache over `prior` for an evaluation of `cfg` (tagged by use
+    /// case) whose fold `i` holds out the benchmark digested as
+    /// `bench_fps[i]`.
+    ///
+    /// # Errors
+    /// Fails when the config cannot be serialized (never happens for the
+    /// shipped config types).
+    pub fn new<C: Serialize>(
+        tag: &str,
+        cfg: &C,
+        model: ModelKind,
+        bench_fps: Vec<u64>,
+        prior: &'p [FoldEntry],
+    ) -> Result<Self, StatsError> {
+        let json = serde_json::to_string(cfg)
+            .map_err(|e| StatsError::invalid("incremental", format!("serialize config: {e}")))?;
+        Ok(FoldCache {
+            bench_fps,
+            config_json: format!("{tag}:{json}"),
+            delta_model: model.neighbor_delta_model(),
+            prior,
+            hits: AtomicUsize::new(0),
+            deltas: AtomicUsize::new(0),
+            misses: AtomicUsize::new(0),
+        })
+    }
 
-            if let Some(e) = cached {
-                if e.fold_fp == fold_fp {
-                    // Nothing this fold observes has changed.
-                    pv_obs::counter_inc!("pv.core.pipeline.fold_cache.hit");
-                    hits.fetch_add(1, Ordering::Relaxed);
-                    return Ok(FoldEntry {
-                        held_index: held,
-                        held_fp,
-                        train_fps,
-                        fold_fp,
-                        score: e.score,
-                        neighbors: e.neighbors.clone(),
-                        check: 0,
-                    }
-                    .sealed());
-                }
-                // Delta eligibility: the entry must have been produced
-                // under this exact config (its own fold fingerprint must
-                // reproduce from its stored inputs — that pins the
-                // config JSON), describe the same held-out content, and
-                // its training set must be a strict prefix of ours (a
-                // pure append).
-                let same_config_and_held = e.held_fp == held_fp
-                    && fold_fingerprint(config_json, held, e.held_fp, &e.train_fps) == e.fold_fp;
-                if let (Some(knn), Some(old_neighbors), true) = (
-                    &delta_model,
-                    e.neighbors.as_ref(),
-                    same_config_and_held && is_strict_prefix(&e.train_fps, &train_fps),
-                ) {
-                    let prepared = runner.prepare_fold(held, &assemble)?;
-                    let mut knn = knn.clone();
-                    knn.fit(&prepared.data)?;
-                    let neighbors = knn.neighbor_indices(&prepared.query)?;
-                    if &neighbors == old_neighbors {
-                        // Same neighbour set ⇒ same row-ordered mean of
-                        // the same unscaled target rows ⇒ bit-identical
-                        // predict, decode, and KS. Skip all three.
-                        pv_obs::counter_inc!("pv.core.pipeline.fold_cache.delta");
-                        deltas.fetch_add(1, Ordering::Relaxed);
-                        return Ok(FoldEntry {
-                            held_index: held,
-                            held_fp,
-                            train_fps,
-                            fold_fp,
-                            score: e.score,
-                            neighbors: Some(neighbors),
-                            check: 0,
-                        }
-                        .sealed());
-                    }
-                    // The append disturbed the neighbourhood: pay for
-                    // the back half on the already-prepared fold.
-                    pv_obs::counter_inc!("pv.core.pipeline.fold_cache.miss");
-                    misses.fetch_add(1, Ordering::Relaxed);
-                    let score = runner.score_fold(held, &prepared, &build_model, &truth)?;
-                    return Ok(FoldEntry {
-                        held_index: held,
-                        held_fp,
-                        train_fps,
-                        fold_fp,
-                        score,
-                        neighbors: Some(neighbors),
-                        check: 0,
-                    }
-                    .sealed());
-                }
-            }
+    /// How the folds served so far were served.
+    pub(crate) fn stats(&self) -> FoldCacheStats {
+        FoldCacheStats {
+            hits: self.hits.load(Ordering::Relaxed),
+            deltas: self.deltas.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+        }
+    }
 
-            // Full recompute; for delta-eligible models also record the
-            // canonical neighbour list so the *next* run can delta.
-            pv_obs::counter_inc!("pv.core.pipeline.fold_cache.miss");
-            misses.fetch_add(1, Ordering::Relaxed);
-            let prepared = runner.prepare_fold(held, &assemble)?;
-            let neighbors = match &delta_model {
-                Some(knn) => {
-                    let mut knn = knn.clone();
-                    knn.fit(&prepared.data)?;
-                    Some(knn.neighbor_indices(&prepared.query)?)
-                }
-                None => None,
+    /// Serves fold `held` from the cache or computes it: `prepare`
+    /// assembles the fold, `score` pays for fit + decode + KS. Returns
+    /// the sealed entry to persist for the next run.
+    ///
+    /// # Errors
+    /// Propagates `prepare`/`score` and neighbour-probe failures.
+    pub(crate) fn serve(
+        &self,
+        held: usize,
+        prepare: impl Fn() -> Result<PreparedFold, StatsError>,
+        score: impl Fn(&PreparedFold) -> Result<BenchScore, StatsError>,
+    ) -> Result<FoldEntry, StatsError> {
+        let held_fp = self.bench_fps[held];
+        let train_fps: Vec<u64> = (0..self.bench_fps.len())
+            .filter(|&i| i != held)
+            .map(|i| self.bench_fps[i])
+            .collect();
+        let fold_fp = fold_fingerprint(&self.config_json, held, held_fp, &train_fps);
+        // Verification at the point of consumption: a prior entry that
+        // fails its integrity digest is simply absent.
+        let cached = self
+            .prior
+            .iter()
+            .find(|e| e.held_index == held && e.verify());
+
+        let (score, neighbors, tally) = 'served: {
+            let Some(e) = cached else {
+                break 'served self.recompute(&prepare, &score)?;
             };
-            let score = runner.score_fold(held, &prepared, &build_model, &truth)?;
-            Ok(FoldEntry {
-                held_index: held,
-                held_fp,
-                train_fps,
-                fold_fp,
-                score,
-                neighbors,
-                check: 0,
+            if e.fold_fp == fold_fp {
+                // Nothing this fold observes has changed.
+                pv_obs::counter_inc!("pv.core.pipeline.fold_cache.hit");
+                break 'served (e.score, e.neighbors.clone(), &self.hits);
             }
-            .sealed())
-        })
-        .collect();
-    let folds = folds?;
-    let summary = EvalSummary::from_scores(folds.iter().map(|f| f.score).collect())?;
-    Ok(IncrementalEval {
-        summary,
-        folds,
-        stats: FoldCacheStats {
-            hits: hits.load(Ordering::Relaxed),
-            deltas: deltas.load(Ordering::Relaxed),
-            misses: misses.load(Ordering::Relaxed),
-        },
-    })
+            // Delta eligibility: the entry must have been produced under
+            // this exact config (its own fold fingerprint must reproduce
+            // from its stored inputs — that pins the config JSON),
+            // describe the same held-out content, and its training set
+            // must be a strict prefix of ours (a pure append).
+            let same_config_and_held = e.held_fp == held_fp
+                && fold_fingerprint(&self.config_json, held, e.held_fp, &e.train_fps) == e.fold_fp;
+            let (Some(knn), Some(old_neighbors), true) = (
+                &self.delta_model,
+                e.neighbors.as_ref(),
+                same_config_and_held && is_strict_prefix(&e.train_fps, &train_fps),
+            ) else {
+                break 'served self.recompute(&prepare, &score)?;
+            };
+            let prepared = prepare()?;
+            let neighbors = neighbor_set(knn, &prepared)?;
+            if &neighbors == old_neighbors {
+                // Same neighbour set ⇒ same row-ordered mean of the same
+                // unscaled target rows ⇒ bit-identical predict, decode,
+                // and KS. Skip all three.
+                pv_obs::counter_inc!("pv.core.pipeline.fold_cache.delta");
+                break 'served (e.score, Some(neighbors), &self.deltas);
+            }
+            // The append disturbed the neighbourhood: pay for the back
+            // half on the already-prepared fold.
+            pv_obs::counter_inc!("pv.core.pipeline.fold_cache.miss");
+            (score(&prepared)?, Some(neighbors), &self.misses)
+        };
+        tally.fetch_add(1, Ordering::Relaxed);
+        Ok(FoldEntry {
+            held_index: held,
+            held_fp,
+            train_fps,
+            fold_fp,
+            score,
+            neighbors,
+            check: 0,
+        }
+        .sealed())
+    }
+
+    /// A full recompute; for delta-eligible models it also records the
+    /// canonical neighbour list so the *next* run can delta.
+    fn recompute(
+        &self,
+        prepare: &impl Fn() -> Result<PreparedFold, StatsError>,
+        score: &impl Fn(&PreparedFold) -> Result<BenchScore, StatsError>,
+    ) -> Result<(BenchScore, Option<Vec<u32>>, &AtomicUsize), StatsError> {
+        pv_obs::counter_inc!("pv.core.pipeline.fold_cache.miss");
+        let prepared = prepare()?;
+        let neighbors = match &self.delta_model {
+            Some(knn) => Some(neighbor_set(knn, &prepared)?),
+            None => None,
+        };
+        Ok((score(&prepared)?, neighbors, &self.misses))
+    }
 }
 
-/// Serializes a config into the canonical JSON the fold fingerprint
-/// hashes.
-fn config_json<C: Serialize>(tag: &str, cfg: &C) -> Result<String, StatsError> {
-    let json = serde_json::to_string(cfg)
-        .map_err(|e| StatsError::invalid("incremental", format!("serialize config: {e}")))?;
-    Ok(format!("{tag}:{json}"))
-}
-
-/// Incremental [`crate::eval::evaluate_few_runs_encoded`]: bit-identical
-/// summary, but folds whose fingerprints (or kNN neighbour lists) match
-/// verified `prior` entries are served from cache.
-///
-/// With an empty `prior` this is a cold run that additionally returns
-/// the fold entries to seed the next one.
-///
-/// # Errors
-/// Everything the non-incremental evaluation can fail with.
-pub fn evaluate_few_runs_incremental(
-    enc: &EncodedCorpus,
-    cfg: FewRunsConfig,
-    prior: &[FoldEntry],
-) -> Result<IncrementalEval, StatsError> {
-    let _span = pv_obs::span!(
-        "pv.core.eval.few_runs",
-        repr = cfg.repr.name(),
-        model = cfg.model.name(),
-        s = cfg.n_profile_runs,
-    );
-    let json = config_json("uc1", &cfg)?;
-    let repr = cfg.repr.build();
-    let runner = few_runs_runner(enc.len(), &cfg, repr.as_ref());
-    run_folds(
-        &runner,
-        |fold_seed| cfg.model.build(fold_seed),
-        few_runs_assemble(enc, cfg),
-        few_runs_truth(enc),
-        FoldReuse {
-            bench_fps: enc.bench_fingerprints(),
-            config_json: &json,
-            delta_model: cfg.model.neighbor_delta_model(),
-            prior,
-        },
-    )
-}
-
-/// Incremental [`crate::eval::evaluate_cross_system_encoded`]; see
-/// [`evaluate_few_runs_incremental`].
-///
-/// Per-fold fingerprints hash the *pair* of source/destination benchmark
-/// digests, so a change on either system invalidates exactly the folds
-/// that observe it.
-///
-/// # Errors
-/// Everything the non-incremental evaluation can fail with.
-pub fn evaluate_cross_system_incremental(
-    src: &EncodedCorpus,
-    dst: &EncodedCorpus,
-    cfg: CrossSystemConfig,
-    prior: &[FoldEntry],
-) -> Result<IncrementalEval, StatsError> {
-    let _span = pv_obs::span!(
-        "pv.core.eval.cross_system",
-        repr = cfg.repr.name(),
-        model = cfg.model.name(),
-        s = cfg.profile_runs,
-    );
-    validate_cross_system_pair(src.corpus(), dst.corpus())?;
-    let json = config_json("uc2", &cfg)?;
-    let bench_fps: Vec<u64> = src
-        .bench_fingerprints()
-        .iter()
-        .zip(dst.bench_fingerprints())
-        .map(|(&s, &d)| {
-            let mut h = Fnv1a::new();
-            h.write_str("pv-bench-pair");
-            h.write_u64(s);
-            h.write_u64(d);
-            h.finish()
-        })
-        .collect();
-    let repr = cfg.repr.build();
-    let runner = cross_system_runner(src.len(), &cfg, repr.as_ref());
-    run_folds(
-        &runner,
-        |fold_seed| cfg.model.build(fold_seed),
-        cross_system_assemble(src, dst, cfg),
-        cross_system_truth(dst),
-        FoldReuse {
-            bench_fps: &bench_fps,
-            config_json: &json,
-            delta_model: cfg.model.neighbor_delta_model(),
-            prior,
-        },
-    )
-}
-
-/// Incremental [`crate::eval::evaluate_few_runs_sharded`]: the sharded
-/// corpus analogue of [`evaluate_few_runs_incremental`].
-///
-/// Fold fingerprints hash the per-benchmark digests the shards carry —
-/// the same digests the monolithic path computes, independent of shard
-/// layout — so fold entries written by a monolithic run serve exact hits
-/// and append-deltas to a sharded run of the same campaign and vice
-/// versa, at any shard size.
-///
-/// # Errors
-/// Everything the non-incremental sharded evaluation can fail with.
-pub fn evaluate_few_runs_incremental_sharded(
-    sh: &ShardedCorpus<'_>,
-    cfg: FewRunsConfig,
-    prior: &[FoldEntry],
-) -> Result<IncrementalEval, StatsError> {
-    let _span = pv_obs::span!(
-        "pv.core.eval.few_runs",
-        repr = cfg.repr.name(),
-        model = cfg.model.name(),
-        s = cfg.n_profile_runs,
-    );
-    let json = config_json("uc1", &cfg)?;
-    let repr = cfg.repr.build();
-    let runner = few_runs_runner(sh.len(), &cfg, repr.as_ref());
-    run_folds(
-        &runner,
-        |fold_seed| cfg.model.build(fold_seed),
-        few_runs_assemble_sharded(sh, cfg),
-        sharded_truth(sh),
-        FoldReuse {
-            bench_fps: sh.bench_fingerprints(),
-            config_json: &json,
-            delta_model: cfg.model.neighbor_delta_model(),
-            prior,
-        },
-    )
-}
-
-/// Incremental [`crate::eval::evaluate_cross_system_sharded`]; see
-/// [`evaluate_few_runs_incremental_sharded`].
-///
-/// # Errors
-/// Everything the non-incremental sharded evaluation can fail with.
-pub fn evaluate_cross_system_incremental_sharded(
-    src: &ShardedCorpus<'_>,
-    dst: &ShardedCorpus<'_>,
-    cfg: CrossSystemConfig,
-    prior: &[FoldEntry],
-) -> Result<IncrementalEval, StatsError> {
-    let _span = pv_obs::span!(
-        "pv.core.eval.cross_system",
-        repr = cfg.repr.name(),
-        model = cfg.model.name(),
-        s = cfg.profile_runs,
-    );
-    validate_cross_system_sharded(src, dst)?;
-    let json = config_json("uc2", &cfg)?;
-    let bench_fps: Vec<u64> = src
-        .bench_fingerprints()
-        .iter()
-        .zip(dst.bench_fingerprints())
-        .map(|(&s, &d)| {
-            let mut h = Fnv1a::new();
-            h.write_str("pv-bench-pair");
-            h.write_u64(s);
-            h.write_u64(d);
-            h.finish()
-        })
-        .collect();
-    let repr = cfg.repr.build();
-    let runner = cross_system_runner(src.len(), &cfg, repr.as_ref());
-    run_folds(
-        &runner,
-        |fold_seed| cfg.model.build(fold_seed),
-        cross_system_assemble_sharded(src, dst, cfg),
-        sharded_truth(dst),
-        FoldReuse {
-            bench_fps: &bench_fps,
-            config_json: &json,
-            delta_model: cfg.model.neighbor_delta_model(),
-            prior,
-        },
-    )
+/// The canonical neighbour list of a prepared fold's query.
+fn neighbor_set(knn: &KnnRegressor, prepared: &PreparedFold) -> Result<Vec<u32>, StatsError> {
+    let mut knn = knn.clone();
+    knn.fit(&prepared.data)?;
+    knn.neighbor_indices(&prepared.query)
 }
 
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use crate::eval::{evaluate_few_runs_encoded, few_runs_spec};
-    use crate::model::ModelKind;
-    use crate::pipeline::EncodingSpec;
+    use crate::eval::{
+        evaluate_cross_system_incremental, evaluate_few_runs_encoded,
+        evaluate_few_runs_incremental, few_runs_spec,
+    };
+    use crate::pipeline::{EncodedCorpus, EncodingSpec};
     use crate::repr::ReprKind;
+    use crate::usecase1::FewRunsConfig;
+    use crate::usecase2::CrossSystemConfig;
     use pv_sysmodel::{Corpus, SystemModel};
 
     fn corpus(n_runs: usize) -> Corpus {

@@ -28,8 +28,10 @@
 //! baselines — runs on the [`pipeline`] layer: an [`pipeline::EncodedCorpus`]
 //! computes profiles and target encodings once (in parallel), and a
 //! [`pipeline::FoldRunner`] owns the leave-one-group-out scaffolding, so a
-//! fold is row slicing plus a model fit. Results are bit-identical to
-//! training each fold from scratch, for any thread count.
+//! fold is row slicing plus a model fit. Each use case has one evaluate
+//! path, written over [`pipeline::FoldSource`], which whole and sharded
+//! corpora both implement. Results are bit-identical to training each
+//! fold from scratch, for any thread count and shard layout.
 //!
 //! ## Sixty-second example
 //!
@@ -74,19 +76,15 @@ pub use baseline::{
     population_baseline_encoded,
 };
 pub use eval::{
-    evaluate_cross_system, evaluate_cross_system_encoded, evaluate_cross_system_sharded,
-    evaluate_few_runs, evaluate_few_runs_encoded, evaluate_few_runs_sharded, BenchScore,
+    evaluate_cross_system, evaluate_cross_system_encoded, evaluate_cross_system_incremental,
+    evaluate_few_runs, evaluate_few_runs_encoded, evaluate_few_runs_incremental, BenchScore,
     EvalSummary,
 };
-pub use incremental::{
-    evaluate_cross_system_incremental, evaluate_cross_system_incremental_sharded,
-    evaluate_few_runs_incremental, evaluate_few_runs_incremental_sharded, fold_fingerprint,
-    FoldCacheStats, FoldEntry, IncrementalEval,
-};
+pub use incremental::{fold_fingerprint, FoldCache, FoldCacheStats, FoldEntry, IncrementalEval};
 pub use model::{binned_trees_default, tree_kernel_tag, FittedModel, ModelKind};
 pub use pipeline::{
-    bench_fingerprints, corpus_fingerprint, EncodedCorpus, EncodingSpec, FoldRunner, FoldTruth,
-    FoldView, PreparedFold, RowSink, SeedMode,
+    bench_fingerprints, corpus_fingerprint, BlockView, EncodedCorpus, EncodingSpec, FoldRunner,
+    FoldSource, FoldView, PreparedFold, RowSink, SeedMode,
 };
 pub use profile::Profile;
 pub use registry::{

@@ -10,9 +10,13 @@
 //! * [`EncodedCorpus`] — per-benchmark profiles (for each requested window
 //!   setting) and per-representation target encodings, computed in
 //!   parallel up front; folds become row slicing.
+//! * [`FoldSource`] — what a fold reads rows from: an [`EncodedCorpus`]
+//!   or a [`crate::shard::ShardedCorpus`], behind one object-safe trait,
+//!   so each use case assembles its folds once for both corpus kinds.
 //! * [`FoldRunner`] — the LOGO scaffolding itself: include-set
 //!   construction, per-fold seed derivation, optional standardization,
-//!   model fit, representation decode, and KS scoring. Callers supply a
+//!   model fit, representation decode, and KS scoring, with an optional
+//!   prior-fold cache (see [`crate::incremental`]). Callers supply a
 //!   row-assembly closure, which is the only part that differs between
 //!   use case 1 (windowed profiles), use case 2 (profile ⊕ source
 //!   encoding), and the kNN ablation variants.
@@ -21,7 +25,7 @@
 //! (see [`SeedMode`]), so results are bit-identical to training each fold
 //! from scratch, for any thread count.
 
-use std::borrow::Cow;
+use std::ops::Range;
 
 use rand::SeedableRng;
 use rayon::prelude::*;
@@ -34,6 +38,7 @@ use pv_stats::StatsError;
 use pv_sysmodel::{BenchmarkData, BenchmarkId, Corpus, RunSet, SystemId};
 
 use crate::eval::{BenchScore, EvalSummary};
+use crate::incremental::{FoldCache, IncrementalEval};
 use crate::profile::Profile;
 use crate::repr::{DistributionRepr, ReprKind};
 
@@ -213,10 +218,6 @@ impl EncodingSpec {
     }
 }
 
-/// A corpus with its fold-invariant features and targets precomputed.
-///
-/// Construction is parallel over benchmarks; everything computed here is
-/// RNG-free, so the cache is a pure function of the corpus and spec.
 /// One feature row per benchmark, roster order.
 type BenchRows = Vec<Vec<f64>>;
 
@@ -466,6 +467,161 @@ impl EncodedBlock {
     }
 }
 
+/// A borrowed view over one encoded block — a whole [`EncodedCorpus`]
+/// or one shard — whose first benchmark has global index `start`.
+/// Accessors take *global* indices and reject indices outside the block.
+#[derive(Clone, Copy)]
+pub struct BlockView<'b> {
+    start: usize,
+    block: &'b EncodedBlock,
+}
+
+impl<'b> BlockView<'b> {
+    pub(crate) fn new(start: usize, block: &'b EncodedBlock) -> Self {
+        BlockView { start, block }
+    }
+
+    /// Global benchmark-index range this view covers.
+    pub fn range(&self) -> Range<usize> {
+        self.start..self.start + self.block.len()
+    }
+
+    fn local(&self, bi: usize) -> Result<usize, StatsError> {
+        if self.range().contains(&bi) {
+            Ok(bi - self.start)
+        } else {
+            Err(StatsError::invalid(
+                "BlockView",
+                format!("benchmark {bi} outside block range {:?}", self.range()),
+            ))
+        }
+    }
+
+    /// Cached relative times of benchmark `bi`.
+    ///
+    /// # Errors
+    /// Fails when `bi` is outside the block.
+    pub fn rel_times(&self, bi: usize) -> Result<&'b [f64], StatsError> {
+        Ok(self.block.rel_times(self.local(bi)?))
+    }
+
+    /// Cached relative times of benchmark `bi`, sorted ascending — the
+    /// truth side of the presorted KS fast path.
+    ///
+    /// # Errors
+    /// Fails when `bi` is outside the block.
+    pub fn rel_times_sorted(&self, bi: usize) -> Result<&'b [f64], StatsError> {
+        Ok(self.block.rel_times_sorted(self.local(bi)?))
+    }
+
+    /// Cached window-`w` profile of benchmark `bi` for setting `s`.
+    ///
+    /// # Errors
+    /// Fails when `bi` is outside the block or `(s, w)` was not covered by
+    /// the build spec.
+    pub fn profile(&self, s: usize, bi: usize, w: usize) -> Result<&'b [f64], StatsError> {
+        self.block.profile(s, self.local(bi)?, w)
+    }
+
+    /// Cached target encoding of benchmark `bi` under `repr`.
+    ///
+    /// # Errors
+    /// Fails when `bi` is outside the block or `repr` was not covered by
+    /// the build spec.
+    pub fn target(&self, repr: ReprKind, bi: usize) -> Result<&'b [f64], StatsError> {
+        self.block.target(repr, self.local(bi)?)
+    }
+
+    /// Cached joined row (profile ⊕ encoding) of benchmark `bi`.
+    ///
+    /// # Errors
+    /// Fails when `bi` is outside the block or `(s, repr)` was not covered
+    /// by the build spec.
+    pub fn joined(&self, s: usize, repr: ReprKind, bi: usize) -> Result<&'b [f64], StatsError> {
+        self.block.joined(s, repr, self.local(bi)?)
+    }
+}
+
+/// Block visitor fed by [`FoldSource::for_each_block`]: a contiguous run
+/// of the requested indices plus a view over the block holding them.
+pub type BlockSink<'s> = dyn FnMut(&[usize], BlockView<'_>) -> Result<(), StatsError> + 's;
+
+/// What a leave-one-group-out fold reads from: an encoded corpus, whole
+/// ([`EncodedCorpus`]) or in shards ([`crate::shard::ShardedCorpus`]).
+///
+/// Every evaluation path is written once over `&dyn FoldSource`, so the
+/// two corpus kinds share one fold loop and produce bit-identical
+/// results: identity, fingerprints and encoded rows are the same values
+/// whichever kind holds them.
+///
+/// Contract of [`FoldSource::for_each_block`]: it calls `f` once per
+/// maximal contiguous run of `indices` that lies in one block, in the
+/// order of `indices`, so rows visited through it come out in exactly
+/// the order requested. For ascending `indices` (every include set is),
+/// each shard is pinned at most once per call and released before the
+/// next one is fetched — peak memory stays bounded by the resident-shard
+/// budget, not the corpus size.
+pub trait FoldSource: Sync {
+    /// Number of benchmarks.
+    fn len(&self) -> usize;
+
+    /// Whether the source has no benchmarks.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Identity of benchmark `bi`.
+    fn id(&self, bi: usize) -> BenchmarkId;
+
+    /// The measured system.
+    fn system(&self) -> SystemId;
+
+    /// Runs per benchmark.
+    fn n_runs(&self) -> usize;
+
+    /// Per-benchmark content digests, roster order (the values
+    /// [`bench_fingerprints`] computes on the equivalent corpus).
+    fn bench_fingerprints(&self) -> &[u64];
+
+    /// Corpus fingerprint (equals [`corpus_fingerprint`] on the
+    /// equivalent corpus, whatever the shard layout).
+    fn fingerprint(&self) -> u64;
+
+    /// Feeds `f` each contiguous run of `indices` lying in one block,
+    /// with a view over that block (see the trait docs for ordering and
+    /// pinning).
+    ///
+    /// # Errors
+    /// Propagates block-fetch and `f` failures.
+    fn for_each_block(&self, indices: &[usize], f: &mut BlockSink<'_>) -> Result<(), StatsError>;
+}
+
+impl dyn FoldSource + '_ {
+    /// Runs `f` on the block holding benchmark `bi`.
+    ///
+    /// # Errors
+    /// Propagates block-fetch and `f` failures.
+    pub fn with_block<R>(
+        &self,
+        bi: usize,
+        f: impl FnOnce(BlockView<'_>) -> Result<R, StatsError>,
+    ) -> Result<R, StatsError> {
+        let mut f = Some(f);
+        let mut out = None;
+        self.for_each_block(&[bi], &mut |_, view| {
+            if let Some(f) = f.take() {
+                out = Some(f(view)?);
+            }
+            Ok(())
+        })?;
+        out.ok_or_else(|| StatsError::invalid("FoldSource", format!("no block holds {bi}")))
+    }
+}
+
+/// A corpus with its fold-invariant features and targets precomputed.
+///
+/// Construction is parallel over benchmarks; everything computed here is
+/// RNG-free, so the cache is a pure function of the corpus and spec.
 pub struct EncodedCorpus<'c> {
     corpus: &'c Corpus,
     block: EncodedBlock,
@@ -488,18 +644,6 @@ impl<'c> EncodedCorpus<'c> {
         self.corpus
     }
 
-    /// Cached per-benchmark content digests, roster order — the same
-    /// values [`bench_fingerprints`] computes, hashed once at build time.
-    pub fn bench_fingerprints(&self) -> &[u64] {
-        &self.block.bench_fps
-    }
-
-    /// Cached corpus fingerprint — equals [`corpus_fingerprint`] on the
-    /// underlying corpus without re-hashing every run.
-    pub fn fingerprint(&self) -> u64 {
-        fold_corpus_digest(self.corpus, &self.block.bench_fps)
-    }
-
     /// Number of benchmarks.
     pub fn len(&self) -> usize {
         self.corpus.len()
@@ -515,9 +659,8 @@ impl<'c> EncodedCorpus<'c> {
         self.block.rel_times(bi)
     }
 
-    /// Cached relative times of benchmark `bi`, sorted ascending — fold
-    /// truths built from this (with `sorted: true`) let scoring use the
-    /// allocation-free presorted KS path.
+    /// Cached relative times of benchmark `bi`, sorted ascending — the
+    /// truth side of the allocation-free presorted KS path.
     pub fn rel_times_sorted(&self, bi: usize) -> &[f64] {
         self.block.rel_times_sorted(bi)
     }
@@ -547,6 +690,42 @@ impl<'c> EncodedCorpus<'c> {
     /// is out of range.
     pub fn joined(&self, s: usize, repr: ReprKind, bi: usize) -> Result<&[f64], StatsError> {
         self.block.joined(s, repr, bi)
+    }
+}
+
+impl FoldSource for EncodedCorpus<'_> {
+    fn len(&self) -> usize {
+        self.corpus.len()
+    }
+
+    fn id(&self, bi: usize) -> BenchmarkId {
+        self.corpus.benchmarks[bi].id
+    }
+
+    fn system(&self) -> SystemId {
+        self.corpus.system
+    }
+
+    fn n_runs(&self) -> usize {
+        self.corpus.n_runs
+    }
+
+    /// Hashed once at build time, inside the parallel encode pass.
+    fn bench_fingerprints(&self) -> &[u64] {
+        &self.block.bench_fps
+    }
+
+    /// Folds the cached per-benchmark digests; never re-hashes a run.
+    fn fingerprint(&self) -> u64 {
+        fold_corpus_digest(self.corpus, &self.block.bench_fps)
+    }
+
+    /// One block covers the whole corpus.
+    fn for_each_block(&self, indices: &[usize], f: &mut BlockSink<'_>) -> Result<(), StatsError> {
+        if indices.is_empty() {
+            return Ok(());
+        }
+        f(indices, BlockView::new(0, &self.block))
     }
 }
 
@@ -637,28 +816,13 @@ impl<'a> FoldView<'a> {
     }
 }
 
-/// Ground truth for scoring one fold.
-pub struct FoldTruth<'a> {
-    /// Identity reported in the per-benchmark score.
-    pub id: BenchmarkId,
-    /// Measured relative times the prediction is scored against.
-    /// Borrowed on the monolithic path; owned on the sharded path (the
-    /// backing shard may be evicted before scoring finishes).
-    pub rel: Cow<'a, [f64]>,
-    /// Whether `rel` is already sorted ascending (`total_cmp` order).
-    /// When true, scoring skips the copy-and-sort of the truth side and
-    /// feeds [`pv_stats::ks::ks2_statistic_presorted`] directly; the KS
-    /// value is bit-identical either way (the statistic is an
-    /// order-invariant of its input multisets).
-    pub sorted: bool,
-}
-
 /// Generic leave-one-group-out fold runner.
 ///
 /// Owns everything the folds share — include-set construction, seed
 /// derivation, optional standardization, fit, decode, KS scoring — and
-/// runs folds in parallel. Results are independent of thread count: fold
-/// seeds derive from the fold index alone and rayon preserves order.
+/// runs folds in parallel, optionally through a prior-fold cache.
+/// Results are independent of thread count: fold seeds derive from the
+/// fold index alone and rayon preserves order.
 pub struct FoldRunner<'r> {
     /// Number of folds (= benchmarks; fold `i` holds out benchmark `i`).
     pub n_folds: usize,
@@ -791,20 +955,20 @@ impl FoldRunner<'_> {
     }
 
     /// Fits a fresh model on a prepared fold, decodes the prediction, and
-    /// scores it against the truth — the expensive back half of a fold.
+    /// scores it against held-out benchmark `held` of `truth` — the
+    /// expensive back half of a fold.
     ///
     /// # Errors
     /// Propagates fit/decode/scoring failures.
-    pub fn score_fold<'a, M, T>(
+    pub fn score_fold<M>(
         &self,
         held: usize,
         prepared: &PreparedFold,
         build_model: &M,
-        truth: &T,
+        truth: &dyn FoldSource,
     ) -> Result<BenchScore, StatsError>
     where
         M: Fn(u64) -> Box<dyn Regressor>,
-        T: Fn(usize) -> Result<FoldTruth<'a>, StatsError>,
     {
         let mut model = build_model(prepared.fold_seed);
         model.fit(&prepared.data)?;
@@ -815,68 +979,63 @@ impl FoldRunner<'_> {
             .decode(&predicted_features, &mut rng, self.n_samples)?;
         // Sort the freshly-decoded sample once and use the presorted KS
         // sweep: same sort order (`total_cmp`) and same merge as
-        // `ks2_statistic`, so the D value is bit-identical — but the
-        // truth side (cached sorted in the encode block) is no longer
-        // copied and re-sorted on every fold.
+        // `ks2_statistic`, so the D value is bit-identical — and the
+        // truth side is read in place from its block's sorted cache.
         predicted.sort_by(f64::total_cmp);
-        let t = truth(held)?;
-        let ks = if t.sorted {
-            ks2_statistic_presorted(&predicted, &t.rel)?
-        } else {
-            let mut rel = t.rel.into_owned();
-            rel.sort_by(f64::total_cmp);
-            ks2_statistic_presorted(&predicted, &rel)?
-        };
-        Ok(BenchScore { id: t.id, ks })
-    }
-
-    /// Runs one fold end to end: prepare, fit, decode, score.
-    ///
-    /// # Errors
-    /// Propagates assembly/fit/decode/scoring failures.
-    pub fn run_fold<'a, M, A, T>(
-        &self,
-        held: usize,
-        build_model: &M,
-        assemble: &A,
-        truth: &T,
-    ) -> Result<BenchScore, StatsError>
-    where
-        M: Fn(u64) -> Box<dyn Regressor>,
-        A: Fn(usize, Vec<usize>) -> Result<FoldView<'a>, StatsError>,
-        T: Fn(usize) -> Result<FoldTruth<'a>, StatsError>,
-    {
-        let _fold_span = pv_obs::span!("pv.core.pipeline.fold", held = held);
-        let prepared = self.prepare_fold(held, assemble)?;
-        self.score_fold(held, &prepared, build_model, truth)
+        let ks = truth.with_block(held, |b| {
+            ks2_statistic_presorted(&predicted, b.rel_times_sorted(held)?)
+        })?;
+        Ok(BenchScore {
+            id: truth.id(held),
+            ks,
+        })
     }
 
     /// Runs all folds and aggregates the per-benchmark KS scores.
     ///
     /// `build_model` receives the fold seed; `assemble` receives the
     /// held-out index and the include set (all other indices, ascending)
-    /// and returns the fold's training rows; `truth` supplies what fold
-    /// `held` is scored against.
+    /// and returns the fold's training rows; fold `held` is scored
+    /// against benchmark `held` of `truth`.
+    ///
+    /// With `cache`, each fold is first offered to the prior-fold cache
+    /// (exact hit, kNN neighbour delta, or recompute — see
+    /// [`crate::incremental`]) and the result carries the fold entries and
+    /// tallies. Without it, folds are plainly prepared and scored: no
+    /// fingerprinting, no neighbour probe, no fold entries.
     ///
     /// # Errors
     /// Propagates assembly/fit/decode/scoring failures from any fold.
-    pub fn run<'a, M, A, T>(
+    pub fn run<'a, M, A>(
         &self,
         build_model: M,
         assemble: A,
-        truth: T,
-    ) -> Result<EvalSummary, StatsError>
+        truth: &dyn FoldSource,
+        cache: Option<&FoldCache<'_>>,
+    ) -> Result<IncrementalEval, StatsError>
     where
         M: Fn(u64) -> Box<dyn Regressor> + Send + Sync,
         A: Fn(usize, Vec<usize>) -> Result<FoldView<'a>, StatsError> + Send + Sync,
-        T: Fn(usize) -> Result<FoldTruth<'a>, StatsError> + Send + Sync,
     {
         let _span = pv_obs::span!("pv.core.pipeline.logo_eval", folds = self.n_folds);
-        let scores: Result<Vec<BenchScore>, StatsError> = (0..self.n_folds)
+        let folds: Vec<(BenchScore, Option<_>)> = (0..self.n_folds)
             .into_par_iter()
-            .map(|held| self.run_fold(held, &build_model, &assemble, &truth))
-            .collect();
-        EvalSummary::from_scores(scores?)
+            .map(|held| {
+                let _fold_span = pv_obs::span!("pv.core.pipeline.fold", held = held);
+                let prepare = || self.prepare_fold(held, &assemble);
+                let score = |p: &PreparedFold| self.score_fold(held, p, &build_model, truth);
+                match cache {
+                    None => Ok((score(&prepare()?)?, None)),
+                    Some(c) => c.serve(held, prepare, score).map(|e| (e.score, Some(e))),
+                }
+            })
+            .collect::<Result<_, StatsError>>()?;
+        let (scores, entries): (Vec<_>, Vec<_>) = folds.into_iter().unzip();
+        Ok(IncrementalEval {
+            summary: EvalSummary::from_scores(scores)?,
+            folds: entries.into_iter().flatten().collect(),
+            stats: cache.map(FoldCache::stats).unwrap_or_default(),
+        })
     }
 }
 

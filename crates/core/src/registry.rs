@@ -24,6 +24,7 @@ use std::path::{Path, PathBuf};
 
 use serde::{Deserialize, Serialize};
 
+use pv_obs::telemetry::write_atomic;
 use pv_stats::fingerprint::Fnv1a;
 use pv_stats::StatsError;
 use pv_sysmodel::Corpus;
@@ -39,7 +40,9 @@ use crate::usecase2::{CrossSystemArtifact, CrossSystemConfig, CrossSystemPredict
 /// rejected (and healed by `repro train`), never reinterpreted.
 /// (v2: the vectorized kernel layer — kNN models gained the f32
 /// prescreen fields, tree models default to binned splits, and artifact
-/// keys carry the tree-kernel tag.)
+/// keys carry the tree-kernel tag. The prescreen fields were later
+/// dropped without a bump: artifact parsing ignores unknown fields, so
+/// v2 entries that still carry them load unchanged.)
 pub const REGISTRY_VERSION: u32 = 2;
 
 /// The observability counters the registry emits.
@@ -222,20 +225,9 @@ impl ModelRegistry {
             what: "ModelRegistry::store".into(),
             detail: format!("serialize entry: {e}"),
         })?;
-        let tmp = path.with_extension(format!("json.tmp.{}", std::process::id()));
-        fs::write(&tmp, json).map_err(|e| {
-            let _ = fs::remove_file(&tmp);
-            PvError::CacheIo {
-                what: "ModelRegistry::store".into(),
-                detail: format!("write {}: {e}", tmp.display()),
-            }
-        })?;
-        fs::rename(&tmp, &path).map_err(|e| {
-            let _ = fs::remove_file(&tmp);
-            PvError::CacheIo {
-                what: "ModelRegistry::store".into(),
-                detail: format!("rename {}: {e}", path.display()),
-            }
+        write_atomic(&path, json).map_err(|e| PvError::CacheIo {
+            what: "ModelRegistry::store".into(),
+            detail: format!("write {}: {e}", path.display()),
         })?;
         pv_obs::counter_inc!("pv.core.registry.store");
         Ok(key)

@@ -36,6 +36,7 @@ use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
 
+use pv_obs::telemetry::write_atomic;
 use pv_stats::rng::{derive_stream, Xoshiro256pp};
 use pv_stats::StatsError;
 
@@ -733,8 +734,8 @@ impl Quarantine {
         }
     }
 
-    /// Persists the quarantine into `dir` (temp file + rename, like the
-    /// cell cache).
+    /// Persists the quarantine into `dir` (atomically, like the cell
+    /// cache).
     ///
     /// # Errors
     /// Returns [`PvError::CacheIo`] on filesystem failures.
@@ -752,22 +753,10 @@ impl Quarantine {
             detail: format!("serialize: {e}"),
         })?;
         let path = dir.join(QUARANTINE_FILE);
-        let tmp = path.with_extension(format!("json.tmp.{}", std::process::id()));
-        fs::write(&tmp, json).map_err(|e| {
-            let _ = fs::remove_file(&tmp);
-            PvError::CacheIo {
-                what: "Quarantine::save".to_string(),
-                detail: format!("write {}: {e}", tmp.display()),
-            }
-        })?;
-        fs::rename(&tmp, &path).map_err(|e| {
-            let _ = fs::remove_file(&tmp);
-            PvError::CacheIo {
-                what: "Quarantine::save".to_string(),
-                detail: format!("rename {}: {e}", path.display()),
-            }
-        })?;
-        Ok(())
+        write_atomic(&path, json).map_err(|e| PvError::CacheIo {
+            what: "Quarantine::save".to_string(),
+            detail: format!("write {}: {e}", path.display()),
+        })
     }
 
     /// Removes the quarantine file from `dir` (idempotent).

@@ -19,9 +19,10 @@
 //! * generation seeds every stage from the benchmark id, so a range is
 //!   bit-identical to the same slice of a full campaign;
 //! * encoding runs the same per-benchmark kernel in the same order;
-//! * fold assembly streams include rows in ascending benchmark order —
-//!   the exact row order the monolithic path produces — through the
-//!   [`FoldView`] abstraction, pinning one shard at a time;
+//! * [`ShardedCorpus`] implements [`FoldSource`], so folds are assembled
+//!   by the very closures that serve an
+//!   [`EncodedCorpus`](crate::pipeline::EncodedCorpus): include rows stream
+//!   in ascending benchmark order, one shard pinned at a time;
 //! * the corpus fingerprint is computed from the same per-benchmark
 //!   digests with the same domain tag, so sharded and monolithic runs of
 //!   one campaign share fold caches and sweep cell caches.
@@ -44,20 +45,22 @@ use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
+use pv_obs::telemetry::write_atomic;
 use pv_stats::fingerprint::Fnv1a;
 use pv_stats::StatsError;
 use pv_sysmodel::{collect_benchmarks, BenchmarkData, BenchmarkId, Corpus, SystemId, SystemModel};
 
-use crate::pipeline::{corpus_digest_parts, EncodedBlock, EncodingSpec, FoldTruth, FoldView};
+use crate::pipeline::{
+    corpus_digest_parts, BlockSink, BlockView, EncodedBlock, EncodingSpec, FoldSource,
+};
 use crate::resilience::PvError;
-use crate::usecase1::FewRunsConfig;
-use crate::usecase2::CrossSystemConfig;
 
 /// Spill format version; bump to orphan every spilled shard.
 const SPILL_MAGIC: &[u8; 8] = b"PVSHARD1";
 
-/// Counters this module emits (pre-registered by the sweep service so
-/// they export as explicit zeros when a run never touches a path).
+/// Counters this module emits (pre-registered when a sharded corpus is
+/// built, so they export as explicit zeros when a run never touches a
+/// path).
 pub const SHARD_OBS_COUNTERS: [&str; 5] = [
     "pv.core.shard.encode",
     "pv.core.shard.evict",
@@ -248,15 +251,9 @@ impl EncodedShard {
         &self.block.bench_fps
     }
 
-    fn local(&self, bi: usize) -> Result<usize, StatsError> {
-        if self.range().contains(&bi) {
-            Ok(bi - self.start)
-        } else {
-            Err(StatsError::invalid(
-                "EncodedShard",
-                format!("benchmark {bi} outside shard range {:?}", self.range()),
-            ))
-        }
+    /// A view over the shard's block (global indices).
+    fn view(&self) -> BlockView<'_> {
+        BlockView::new(self.start, &self.block)
     }
 
     /// Cached relative times of benchmark `bi` (global index).
@@ -264,7 +261,7 @@ impl EncodedShard {
     /// # Errors
     /// Fails when `bi` is outside the shard's range.
     pub fn rel_times(&self, bi: usize) -> Result<&[f64], StatsError> {
-        Ok(self.block.rel_times(self.local(bi)?))
+        self.view().rel_times(bi)
     }
 
     /// Cached relative times of benchmark `bi` (global index), sorted
@@ -273,7 +270,7 @@ impl EncodedShard {
     /// # Errors
     /// Fails when `bi` is outside the shard's range.
     pub fn rel_times_sorted(&self, bi: usize) -> Result<&[f64], StatsError> {
-        Ok(self.block.rel_times_sorted(self.local(bi)?))
+        self.view().rel_times_sorted(bi)
     }
 
     /// Cached window-`w` profile of benchmark `bi` for setting `s`.
@@ -282,7 +279,7 @@ impl EncodedShard {
     /// Fails when `bi` is outside the shard's range or `(s, w)` was not
     /// covered by the build spec.
     pub fn profile(&self, s: usize, bi: usize, w: usize) -> Result<&[f64], StatsError> {
-        self.block.profile(s, self.local(bi)?, w)
+        self.view().profile(s, bi, w)
     }
 
     /// Cached target encoding of benchmark `bi` under `repr`.
@@ -291,7 +288,7 @@ impl EncodedShard {
     /// Fails when `bi` is outside the shard's range or `repr` was not
     /// covered by the build spec.
     pub fn target(&self, repr: crate::repr::ReprKind, bi: usize) -> Result<&[f64], StatsError> {
-        self.block.target(repr, self.local(bi)?)
+        self.view().target(repr, bi)
     }
 
     /// Cached joined row (profile ⊕ encoding) of benchmark `bi`.
@@ -305,7 +302,7 @@ impl EncodedShard {
         repr: crate::repr::ReprKind,
         bi: usize,
     ) -> Result<&[f64], StatsError> {
-        self.block.joined(s, repr, self.local(bi)?)
+        self.view().joined(s, repr, bi)
     }
 }
 
@@ -651,6 +648,9 @@ impl<'c> ShardedCorpusBuilder<'c> {
             // before this run starts spilling its own.
             crate::resilience::sweep_stale_temps(dir);
         }
+        // Listed at zero from the start, so a run that never evicts or
+        // reloads still reports it.
+        pv_obs::metrics::preregister_counters(&SHARD_OBS_COUNTERS);
         let budget = resident_shards
             .unwrap_or_else(|| (rayon::current_num_threads() + 2).max(4))
             .max(1);
@@ -742,64 +742,14 @@ impl<'c> ShardedCorpus<'c> {
         self.ids.is_empty()
     }
 
-    /// Benchmark identities, roster order.
-    pub fn ids(&self) -> &[BenchmarkId] {
-        &self.ids
-    }
-
-    /// Identity of benchmark `bi`.
-    pub fn id(&self, bi: usize) -> BenchmarkId {
-        self.ids[bi]
-    }
-
-    /// The measured system.
-    pub fn system(&self) -> SystemId {
-        self.source.system()
-    }
-
-    /// Runs per benchmark.
-    pub fn n_runs(&self) -> usize {
-        self.source.n_runs()
-    }
-
-    /// Root seed of the campaign.
-    pub fn seed(&self) -> u64 {
-        self.source.seed()
-    }
-
     /// The shard layout.
     pub fn layout(&self) -> &ShardLayout {
         &self.layout
     }
 
-    /// The encoding coverage every shard was built with.
-    pub fn spec(&self) -> &EncodingSpec {
-        &self.spec
-    }
-
-    /// Per-benchmark content digests, roster order — identical to
-    /// [`crate::pipeline::bench_fingerprints`] on the equivalent
-    /// monolithic corpus.
-    pub fn bench_fingerprints(&self) -> &[u64] {
-        &self.bench_fps
-    }
-
     /// Per-shard content fingerprints, shard order.
     pub fn shard_fingerprints(&self) -> &[u64] {
         &self.shard_fps
-    }
-
-    /// Corpus fingerprint — identical to
-    /// [`crate::pipeline::corpus_fingerprint`] on the equivalent
-    /// monolithic corpus, independent of shard layout, so sharded and
-    /// monolithic runs share fold and cell caches.
-    pub fn fingerprint(&self) -> u64 {
-        corpus_digest_parts(
-            self.source.system(),
-            self.source.n_runs(),
-            self.source.seed(),
-            &self.bench_fps,
-        )
     }
 
     /// Shards currently resident (≤ the budget).
@@ -903,8 +853,8 @@ impl<'c> ShardedCorpus<'c> {
         })
     }
 
-    /// Spills a shard with the temp-file+rename discipline. Failures are
-    /// non-fatal (the shard can always be recomputed) and counted.
+    /// Spills a shard atomically. Failures are non-fatal (the shard can
+    /// always be recomputed); only completed spills are counted.
     fn write_spill(&self, si: usize, shard: &EncodedShard) {
         let Some(path) = self.spill_path(si) else {
             return;
@@ -915,12 +865,8 @@ impl<'c> ShardedCorpus<'c> {
         bytes.extend_from_slice(&self.spill_key(si).to_le_bytes());
         bytes.extend_from_slice(&payload);
         bytes.extend_from_slice(&pv_stats::fingerprint::fnv1a(&payload).to_le_bytes());
-        let tmp = path.with_extension(format!("bin.tmp.{}", std::process::id()));
-        let ok = fs::write(&tmp, &bytes).is_ok() && fs::rename(&tmp, &path).is_ok();
-        if ok {
+        if write_atomic(&path, bytes).is_ok() {
             pv_obs::counter_inc!("pv.core.shard.spill");
-        } else {
-            let _ = fs::remove_file(&tmp);
         }
     }
 
@@ -981,115 +927,62 @@ impl<'c> ShardedCorpus<'c> {
     }
 }
 
-// ---------------------------------------------------------------------
-// Shard-aware fold assembly: same rows, same order, one shard pinned at
-// a time.
-
-/// The use-case-1 fold assembly over shards: include rows stream in
-/// ascending benchmark order (windows inner) — exactly the
-/// include-rank-major order of the monolithic
-/// [`crate::eval::few_runs_assemble`] — pinning each shard once per fold.
-pub(crate) fn few_runs_assemble_sharded<'a>(
-    sh: &'a ShardedCorpus<'_>,
-    cfg: FewRunsConfig,
-) -> impl Fn(usize, Vec<usize>) -> Result<FoldView<'a>, StatsError> + Send + Sync + 'a {
-    let s = cfg.n_profile_runs;
-    let windows = cfg.profiles_per_benchmark.max(1);
-    move |held, include| {
-        let held_shard = sh.shard(sh.layout.shard_of(held))?;
-        let query = held_shard.profile(s, held, 0)?.to_vec();
-        let x_dim = query.len();
-        let y_dim = held_shard.target(cfg.repr, held)?.len();
-        drop(held_shard);
-        Ok(FoldView::new(
-            include.len() * windows,
-            x_dim,
-            y_dim,
-            query,
-            move |sink| {
-                let mut i = 0;
-                for si in 0..sh.layout.n_shards() {
-                    let end = sh.layout.range(si).end;
-                    if i >= include.len() || include[i] >= end {
-                        continue;
-                    }
-                    let shard = sh.shard(si)?;
-                    while i < include.len() && include[i] < end {
-                        let bi = include[i];
-                        let target = shard.target(cfg.repr, bi)?;
-                        for w in 0..windows {
-                            sink(shard.profile(s, bi, w)?, target, bi)?;
-                        }
-                        i += 1;
-                    }
-                }
-                Ok(())
-            },
-        ))
+impl FoldSource for ShardedCorpus<'_> {
+    fn len(&self) -> usize {
+        self.ids.len()
     }
-}
 
-/// The use-case-2 fold assembly over shards: ascending include order,
-/// one source shard and one destination shard pinned at a time (layouts
-/// may differ between the two corpora).
-pub(crate) fn cross_system_assemble_sharded<'a>(
-    src: &'a ShardedCorpus<'_>,
-    dst: &'a ShardedCorpus<'_>,
-    cfg: CrossSystemConfig,
-) -> impl Fn(usize, Vec<usize>) -> Result<FoldView<'a>, StatsError> + Send + Sync + 'a {
-    let s_eff = cfg.profile_runs.min(src.n_runs()).max(1);
-    move |held, include| {
-        let held_src = src.shard(src.layout.shard_of(held))?;
-        let query = held_src.joined(s_eff, cfg.repr, held)?.to_vec();
-        let x_dim = query.len();
-        drop(held_src);
-        let held_dst = dst.shard(dst.layout.shard_of(held))?;
-        let y_dim = held_dst.target(cfg.repr, held)?.len();
-        drop(held_dst);
-        Ok(FoldView::new(
-            include.len(),
-            x_dim,
-            y_dim,
-            query,
-            move |sink| {
-                let mut src_cur: Option<Arc<EncodedShard>> = None;
-                let mut dst_cur: Option<Arc<EncodedShard>> = None;
-                for &bi in &include {
-                    if !src_cur.as_ref().is_some_and(|sh| sh.range().contains(&bi)) {
-                        src_cur = Some(src.shard(src.layout.shard_of(bi))?);
-                    }
-                    if !dst_cur.as_ref().is_some_and(|sh| sh.range().contains(&bi)) {
-                        dst_cur = Some(dst.shard(dst.layout.shard_of(bi))?);
-                    }
-                    let (Some(s_sh), Some(d_sh)) = (&src_cur, &dst_cur) else {
-                        unreachable!("shards assigned above");
-                    };
-                    sink(
-                        s_sh.joined(s_eff, cfg.repr, bi)?,
-                        d_sh.target(cfg.repr, bi)?,
-                        bi,
-                    )?;
-                }
-                Ok(())
-            },
-        ))
+    fn id(&self, bi: usize) -> BenchmarkId {
+        self.ids[bi]
     }
-}
 
-/// The fold-truth closure over a sharded corpus. The relative times are
-/// copied out of the shard (owned `Cow`) so scoring never depends on
-/// the shard staying resident; the copy is taken from the shard's
-/// presorted cache so scoring skips the per-fold truth sort.
-pub(crate) fn sharded_truth<'a>(
-    sh: &'a ShardedCorpus<'_>,
-) -> impl Fn(usize) -> Result<FoldTruth<'a>, StatsError> + Send + Sync + 'a {
-    move |held| {
-        let shard = sh.shard(sh.layout.shard_of(held))?;
-        Ok(FoldTruth {
-            id: sh.id(held),
-            rel: std::borrow::Cow::Owned(shard.rel_times_sorted(held)?.to_vec()),
-            sorted: true,
-        })
+    fn system(&self) -> SystemId {
+        self.source.system()
+    }
+
+    fn n_runs(&self) -> usize {
+        self.source.n_runs()
+    }
+
+    /// Always resident (8 bytes per benchmark): fold fingerprints never
+    /// touch a shard.
+    fn bench_fingerprints(&self) -> &[u64] {
+        &self.bench_fps
+    }
+
+    /// Independent of shard layout, so sharded and monolithic runs of
+    /// one campaign share fold and cell caches.
+    fn fingerprint(&self) -> u64 {
+        corpus_digest_parts(
+            self.source.system(),
+            self.source.n_runs(),
+            self.source.seed(),
+            &self.bench_fps,
+        )
+    }
+
+    /// Pins one shard per maximal run of `indices` inside its range; the
+    /// pin is dropped before the next shard is fetched.
+    fn for_each_block(&self, indices: &[usize], f: &mut BlockSink<'_>) -> Result<(), StatsError> {
+        let mut rest = indices;
+        while let Some(&first) = rest.first() {
+            if first >= self.len() {
+                return Err(StatsError::invalid(
+                    "ShardedCorpus",
+                    format!(
+                        "benchmark {first} outside the {}-benchmark roster",
+                        self.len()
+                    ),
+                ));
+            }
+            let si = self.layout.shard_of(first);
+            let range = self.layout.range(si);
+            let n = rest.iter().take_while(|bi| range.contains(bi)).count();
+            let shard = self.shard(si)?;
+            f(&rest[..n], shard.view())?;
+            rest = &rest[n..];
+        }
+        Ok(())
     }
 }
 
@@ -1177,10 +1070,9 @@ mod tests {
         .unwrap();
         let enc = crate::pipeline::EncodedCorpus::build(&c, &spec()).unwrap();
         assert_eq!(sh.fingerprint(), enc.fingerprint());
-        assert_eq!(
-            sh.ids(),
-            &c.benchmarks.iter().map(|b| b.id).collect::<Vec<_>>()[..]
-        );
+        for (bi, b) in c.benchmarks.iter().enumerate() {
+            assert_eq!(sh.id(bi), b.id);
+        }
     }
 
     #[test]

@@ -10,9 +10,10 @@
 //!   a fixed deterministic order and derives the [`EncodingSpec`]s that
 //!   cover every cell, so one encode pass serves the whole sweep.
 //! * [`Sweep`] schedules the cells across the rayon worker pool over the
-//!   shared cache(s), streaming each [`CellResult`] to a callback the
-//!   moment it finishes and returning all of them (cell order, not
-//!   completion order) in a [`SweepReport`].
+//!   shared [`FoldSource`]s (whole or sharded corpora alike), streaming
+//!   each [`CellResult`] to a callback the moment it finishes and
+//!   returning all of them (cell order, not completion order) in a
+//!   [`SweepReport`].
 //! * [`CellCache`] persists completed cells to disk, keyed by
 //!   `(corpus fingerprint, cell config)`. Re-running a widened grid
 //!   loads the old cells and computes only the delta; a stale or
@@ -44,24 +45,24 @@ use std::time::Duration;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
+use pv_obs::telemetry::write_atomic;
 use pv_stats::fingerprint::Fnv1a;
 use pv_stats::StatsError;
 use pv_sysmodel::Corpus;
 
-use crate::eval::{cross_system_specs_for_runs, few_runs_spec, EvalSummary};
-use crate::incremental::{
-    evaluate_cross_system_incremental, evaluate_cross_system_incremental_sharded,
-    evaluate_few_runs_incremental, evaluate_few_runs_incremental_sharded, FoldCacheStats,
-    FoldEntry,
+use crate::eval::{
+    cross_system_specs_for_runs, evaluate_cross_system_incremental, evaluate_few_runs_incremental,
+    few_runs_spec, EvalSummary,
 };
+use crate::incremental::{FoldCacheStats, FoldEntry};
 use crate::model::ModelKind;
-use crate::pipeline::{EncodedCorpus, EncodingSpec};
+use crate::pipeline::{EncodingSpec, FoldSource};
 use crate::repr::ReprKind;
 use crate::resilience::{
     panic_message, retry_seed, validate_summary, CacheLock, FaultKind, FaultPlan, PvError,
     Quarantine, QuarantineEntry, DEFAULT_MAX_RETRIES,
 };
-use crate::shard::{ShardedCorpus, SHARD_OBS_COUNTERS};
+use crate::shard::ShardedCorpus;
 use crate::usecase1::FewRunsConfig;
 use crate::usecase2::CrossSystemConfig;
 
@@ -371,9 +372,9 @@ struct CachedCell {
 /// A serde-backed on-disk cache of completed sweep cells.
 ///
 /// Layout: one JSON file per cell, `cell-<key:016x>.json` under the
-/// cache directory, where the key is [`cell_key`]. Writes go through a
-/// temp file + rename, so concurrent sweeps sharing a directory never
-/// observe partial entries.
+/// cache directory, where the key is [`cell_key`]. Writes are atomic
+/// (`pv_obs::telemetry::write_atomic`), so concurrent sweeps sharing a
+/// directory never observe partial entries.
 #[derive(Debug, Clone)]
 pub struct CellCache {
     dir: PathBuf,
@@ -565,19 +566,9 @@ impl CellCache {
         };
         let json = serde_json::to_string(&cell)
             .map_err(|e| StatsError::invalid("CellCache::store", format!("serialize: {e}")))?;
-        let tmp = path.with_extension(format!("json.tmp.{}", std::process::id()));
-        fs::write(&tmp, json).map_err(|e| {
-            let _ = fs::remove_file(&tmp);
-            StatsError::invalid("CellCache::store", format!("write {}: {e}", tmp.display()))
-        })?;
-        fs::rename(&tmp, &path).map_err(|e| {
-            let _ = fs::remove_file(&tmp);
-            StatsError::invalid(
-                "CellCache::store",
-                format!("rename {}: {e}", path.display()),
-            )
-        })?;
-        Ok(())
+        write_atomic(&path, json).map_err(|e| {
+            StatsError::invalid("CellCache::store", format!("write {}: {e}", path.display()))
+        })
     }
 }
 
@@ -592,27 +583,17 @@ pub fn cross_fingerprint(src: u64, dst: u64) -> u64 {
     h.finish()
 }
 
-/// What a sweep evaluates its cells against.
-pub enum SweepTarget<'a, 'c> {
-    /// Use case 1 over one encoded corpus.
-    FewRuns(&'a EncodedCorpus<'c>),
+/// What a sweep evaluates its cells against: whole or sharded corpora
+/// (or one of each — both kinds yield identical cells and cache keys).
+pub enum SweepTarget<'a> {
+    /// Use case 1 over one corpus.
+    FewRuns(&'a dyn FoldSource),
     /// Use case 2, source → destination.
     CrossSystem {
-        /// The (encoded) corpus measured on the source system.
-        src: &'a EncodedCorpus<'c>,
-        /// The (encoded) corpus measured on the destination system.
-        dst: &'a EncodedCorpus<'c>,
-    },
-    /// Use case 1 over a sharded corpus (bounded-memory path; results
-    /// and cache keys identical to [`SweepTarget::FewRuns`] on the
-    /// equivalent monolithic corpus).
-    FewRunsSharded(&'a ShardedCorpus<'c>),
-    /// Use case 2 over sharded corpora, source → destination.
-    CrossSystemSharded {
-        /// The (sharded) corpus measured on the source system.
-        src: &'a ShardedCorpus<'c>,
-        /// The (sharded) corpus measured on the destination system.
-        dst: &'a ShardedCorpus<'c>,
+        /// The corpus measured on the source system.
+        src: &'a dyn FoldSource,
+        /// The corpus measured on the destination system.
+        dst: &'a dyn FoldSource,
     },
 }
 
@@ -762,38 +743,32 @@ impl SweepReport {
 
 /// The sweep service: a target plus an optional cell cache, a retry
 /// budget, and (for the test tiers) a fault-injection plan.
-pub struct Sweep<'a, 'c> {
-    target: SweepTarget<'a, 'c>,
+pub struct Sweep<'a> {
+    target: SweepTarget<'a>,
     cache: Option<CellCache>,
     faults: FaultPlan,
     max_retries: u32,
     lock_timeout: Duration,
 }
 
-impl<'a, 'c> Sweep<'a, 'c> {
-    /// A use-case-1 sweep over `enc`.
-    pub fn few_runs(enc: &'a EncodedCorpus<'c>) -> Self {
-        Self::new(SweepTarget::FewRuns(enc))
+impl<'a> Sweep<'a> {
+    /// A use-case-1 sweep over `src`.
+    pub fn few_runs(src: &'a dyn FoldSource) -> Self {
+        Self::new(SweepTarget::FewRuns(src))
     }
 
     /// A use-case-2 sweep, `src` → `dst`.
-    pub fn cross_system(src: &'a EncodedCorpus<'c>, dst: &'a EncodedCorpus<'c>) -> Self {
+    pub fn cross_system(src: &'a dyn FoldSource, dst: &'a dyn FoldSource) -> Self {
         Self::new(SweepTarget::CrossSystem { src, dst })
     }
 
-    /// A use-case-1 sweep over a sharded corpus. Cells evaluate
-    /// bit-identically to [`Sweep::few_runs`] on the equivalent
-    /// monolithic corpus and share its cell cache (same fingerprint).
-    pub fn few_runs_sharded(sh: &'a ShardedCorpus<'c>) -> Self {
-        Self::new(SweepTarget::FewRunsSharded(sh))
+    /// [`Sweep::few_runs`] over a sharded corpus; kept because the
+    /// repository benchmark (`perfbench`) calls it by this name.
+    pub fn few_runs_sharded(sh: &'a ShardedCorpus<'_>) -> Self {
+        Self::few_runs(sh)
     }
 
-    /// A use-case-2 sweep over sharded corpora, `src` → `dst`.
-    pub fn cross_system_sharded(src: &'a ShardedCorpus<'c>, dst: &'a ShardedCorpus<'c>) -> Self {
-        Self::new(SweepTarget::CrossSystemSharded { src, dst })
-    }
-
-    fn new(target: SweepTarget<'a, 'c>) -> Self {
+    fn new(target: SweepTarget<'a>) -> Self {
         Sweep {
             target,
             cache: None,
@@ -837,12 +812,8 @@ impl<'a, 'c> Sweep<'a, 'c> {
     /// use case 1, a combination of both corpora's for use case 2.
     pub fn fingerprint(&self) -> u64 {
         match &self.target {
-            SweepTarget::FewRuns(enc) => enc.fingerprint(),
-            SweepTarget::FewRunsSharded(sh) => sh.fingerprint(),
+            SweepTarget::FewRuns(src) => src.fingerprint(),
             SweepTarget::CrossSystem { src, dst } => {
-                cross_fingerprint(src.fingerprint(), dst.fingerprint())
-            }
-            SweepTarget::CrossSystemSharded { src, dst } => {
                 cross_fingerprint(src.fingerprint(), dst.fingerprint())
             }
         }
@@ -852,12 +823,12 @@ impl<'a, 'c> Sweep<'a, 'c> {
     /// order).
     pub fn cells(&self, grid: &GridSpec) -> Vec<CellConfig> {
         match &self.target {
-            SweepTarget::FewRuns(_) | SweepTarget::FewRunsSharded(_) => grid
+            SweepTarget::FewRuns(_) => grid
                 .few_runs_cells()
                 .into_iter()
                 .map(CellConfig::FewRuns)
                 .collect(),
-            SweepTarget::CrossSystem { .. } | SweepTarget::CrossSystemSharded { .. } => grid
+            SweepTarget::CrossSystem { .. } => grid
                 .cross_system_cells()
                 .into_iter()
                 .map(CellConfig::CrossSystem)
@@ -865,26 +836,20 @@ impl<'a, 'c> Sweep<'a, 'c> {
         }
     }
 
-    /// Evaluates one cell on the shared encoded corpora, incrementally
-    /// against `prior` fold entries (empty prior ⇒ a cold evaluation —
-    /// same bits, all folds counted as misses).
+    /// Evaluates one cell on the shared sources, incrementally against
+    /// `prior` fold entries (empty prior ⇒ a cold evaluation — same bits,
+    /// all folds counted as misses).
     fn eval_cell(
         &self,
         cfg: &CellConfig,
         prior: &[FoldEntry],
     ) -> Result<(EvalSummary, Vec<FoldEntry>, FoldCacheStats), StatsError> {
         let result = match (&self.target, cfg) {
-            (SweepTarget::FewRuns(enc), CellConfig::FewRuns(c)) => {
-                evaluate_few_runs_incremental(enc, *c, prior)?
+            (SweepTarget::FewRuns(src), CellConfig::FewRuns(c)) => {
+                evaluate_few_runs_incremental(*src, *c, prior)?
             }
             (SweepTarget::CrossSystem { src, dst }, CellConfig::CrossSystem(c)) => {
-                evaluate_cross_system_incremental(src, dst, *c, prior)?
-            }
-            (SweepTarget::FewRunsSharded(sh), CellConfig::FewRuns(c)) => {
-                evaluate_few_runs_incremental_sharded(sh, *c, prior)?
-            }
-            (SweepTarget::CrossSystemSharded { src, dst }, CellConfig::CrossSystem(c)) => {
-                evaluate_cross_system_incremental_sharded(src, dst, *c, prior)?
+                evaluate_cross_system_incremental(*src, *dst, *c, prior)?
             }
             _ => {
                 return Err(StatsError::invalid(
@@ -1054,12 +1019,6 @@ impl<'a, 'c> Sweep<'a, 'c> {
         let fingerprint = self.fingerprint();
         let _sweep_span = pv_obs::span!("pv.core.sweep.run", cells = cells.len());
         pv_obs::metrics::preregister_counters(SWEEP_OBS_COUNTERS);
-        if matches!(
-            self.target,
-            SweepTarget::FewRunsSharded(_) | SweepTarget::CrossSystemSharded { .. }
-        ) {
-            pv_obs::metrics::preregister_counters(&SHARD_OBS_COUNTERS);
-        }
         pv_obs::gauge_set!("pv.core.sweep.cells_total", cells.len());
         // The advisory lock covers cache reads, writes, and the
         // quarantine update; it is held until this function returns.
@@ -1243,6 +1202,7 @@ impl<'a, 'c> Sweep<'a, 'c> {
 mod tests {
     use super::*;
     use crate::eval::evaluate_few_runs_encoded;
+    use crate::pipeline::EncodedCorpus;
     use pv_sysmodel::SystemModel;
 
     fn corpus() -> Corpus {

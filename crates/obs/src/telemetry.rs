@@ -74,10 +74,12 @@ pub fn render_prometheus(snapshot: &MetricsSnapshot) -> String {
     out
 }
 
-/// Writes `contents` to `path` atomically: write a sibling temp file, then
-/// rename over the target. Readers always see either the previous complete
-/// document or the new one.
-pub fn write_atomic(path: &Path, contents: &str) -> io::Result<()> {
+/// Writes `contents` to `path` atomically: write a sibling temp file
+/// (`<name>.<ext>.tmp.<pid>`, the pattern stale-temp sweeps reclaim),
+/// then rename over the target. Readers always see either the previous
+/// complete document or the new one; on any failure the temp file is
+/// removed and the target is untouched.
+pub fn write_atomic(path: &Path, contents: impl AsRef<[u8]>) -> io::Result<()> {
     let tmp = path.with_extension(format!(
         "{}tmp.{}",
         path.extension()
@@ -86,14 +88,11 @@ pub fn write_atomic(path: &Path, contents: &str) -> io::Result<()> {
             .unwrap_or_default(),
         std::process::id()
     ));
-    fs::write(&tmp, contents)?;
-    match fs::rename(&tmp, path) {
-        Ok(()) => Ok(()),
-        Err(e) => {
-            let _ = fs::remove_file(&tmp);
-            Err(e)
-        }
+    let written = fs::write(&tmp, contents).and_then(|()| fs::rename(&tmp, path));
+    if written.is_err() {
+        let _ = fs::remove_file(&tmp);
     }
+    written
 }
 
 #[cfg(test)]

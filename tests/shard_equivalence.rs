@@ -2,16 +2,20 @@
 //! `ShardedCorpus` must reproduce, bit for bit, what the monolithic
 //! `EncodedCorpus` path computes — at every shard layout, at any thread
 //! count, whether shards stay resident, get evicted and recomputed, or
-//! round-trip through spill files (including tampered ones).
+//! round-trip through spill files (including tampered ones). Both corpus
+//! kinds are `FoldSource`s behind one evaluate function per use case, so
+//! fold caches written through either serve the other.
 
 use std::fs;
 use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use perfvar_suite::core::eval::{
-    cross_system_specs, evaluate_cross_system, evaluate_cross_system_sharded, evaluate_few_runs,
-    evaluate_few_runs_sharded, few_runs_spec, EvalSummary,
+    cross_system_specs, evaluate_cross_system, evaluate_cross_system_encoded,
+    evaluate_cross_system_incremental, evaluate_few_runs, evaluate_few_runs_encoded,
+    evaluate_few_runs_incremental, few_runs_spec, EvalSummary,
 };
+use perfvar_suite::core::pipeline::{EncodedCorpus, EncodingSpec, FoldSource};
 use perfvar_suite::core::shard::{CampaignSource, ShardLayout, ShardSource, ShardedCorpus};
 use perfvar_suite::core::sweep::{CellCache, GridSpec, Sweep};
 use perfvar_suite::core::usecase1::FewRunsConfig;
@@ -54,11 +58,18 @@ fn uc2_cfg(model: ModelKind) -> CrossSystemConfig {
     }
 }
 
-fn sharded<'c>(c: &'c Corpus, cfg: &FewRunsConfig, shard_size: usize) -> ShardedCorpus<'c> {
-    ShardedCorpus::builder(ShardSource::Corpus(c), &few_runs_spec(cfg))
+fn sharded<'c>(c: &'c Corpus, spec: &EncodingSpec, shard_size: usize) -> ShardedCorpus<'c> {
+    ShardedCorpus::builder(ShardSource::Corpus(c), spec)
         .shard_size(shard_size)
         .build()
         .unwrap()
+}
+
+/// The corpus as it stood before its last `drop` benchmarks arrived.
+fn truncated(c: &Corpus, drop: usize) -> Corpus {
+    let mut t = c.clone();
+    t.benchmarks.truncate(t.benchmarks.len() - drop);
+    t
 }
 
 fn tmp_dir(tag: &str) -> PathBuf {
@@ -78,8 +89,8 @@ fn uc1_sharded_matches_monolithic_at_every_shard_size() {
         let cfg = uc1_cfg(model);
         let mono = evaluate_few_runs(&c, cfg).unwrap();
         for shard_size in [1, 7, 64, c.len()] {
-            let sh = sharded(&c, &cfg, shard_size);
-            let summary = evaluate_few_runs_sharded(&sh, cfg).unwrap();
+            let sh = sharded(&c, &few_runs_spec(&cfg), shard_size);
+            let summary = evaluate_few_runs_encoded(&sh, cfg).unwrap();
             assert_eq!(summary, mono, "{model:?} shard_size={shard_size}");
         }
     }
@@ -103,7 +114,7 @@ fn uc2_sharded_matches_monolithic_with_mismatched_layouts() {
             .shard_size(ds)
             .build()
             .unwrap();
-        let summary = evaluate_cross_system_sharded(&src_sh, &dst_sh, cfg).unwrap();
+        let summary = evaluate_cross_system_encoded(&src_sh, &dst_sh, cfg).unwrap();
         assert_eq!(summary, mono, "src={ss} dst={ds}");
     }
 }
@@ -126,7 +137,7 @@ fn sharded_eval_is_thread_count_independent() {
                     .resident_shards(2)
                     .build()
                     .unwrap();
-                evaluate_few_runs_sharded(&sh, cfg).unwrap()
+                evaluate_few_runs_encoded(&sh, cfg).unwrap()
             })
     };
     let single = run(1);
@@ -160,7 +171,7 @@ fn campaign_source_evaluates_identically_to_collected_corpus() {
         perfvar_suite::core::corpus_fingerprint(&c)
     );
     assert_eq!(
-        evaluate_few_runs_sharded(&sh, cfg).unwrap(),
+        evaluate_few_runs_encoded(&sh, cfg).unwrap(),
         evaluate_few_runs(&c, cfg).unwrap()
     );
 }
@@ -206,7 +217,7 @@ fn tampered_spill_files_recover_silently() {
     }
     // Budget 1 forces every fold to fault shards back in through the
     // corrupted files.
-    let summary = evaluate_few_runs_sharded(&sh, cfg).unwrap();
+    let summary = evaluate_few_runs_encoded(&sh, cfg).unwrap();
     assert_eq!(summary, mono);
     // Recomputed shards were re-spilled; a fresh build warm-loads them.
     let warm = ShardedCorpus::builder(ShardSource::Corpus(&c), &few_runs_spec(&cfg))
@@ -330,8 +341,7 @@ fn sharded_and_monolithic_sweeps_share_the_cell_cache() {
         sample_counts: vec![5],
         ..GridSpec::default()
     };
-    let enc =
-        perfvar_suite::core::pipeline::EncodedCorpus::build(&c, &grid.few_runs_encoding()).unwrap();
+    let enc = EncodedCorpus::build(&c, &grid.few_runs_encoding()).unwrap();
     let mono = Sweep::few_runs(&enc)
         .with_cache(CellCache::new(&dir))
         .run(&grid)
@@ -341,7 +351,7 @@ fn sharded_and_monolithic_sweeps_share_the_cell_cache() {
         .shard_size(9)
         .build()
         .unwrap();
-    let sharded = Sweep::few_runs_sharded(&sh)
+    let sharded = Sweep::few_runs(&sh)
         .with_cache(CellCache::new(&dir))
         .run(&grid)
         .unwrap();
@@ -355,6 +365,112 @@ fn sharded_and_monolithic_sweeps_share_the_cell_cache() {
         mono.cells[0].summary().unwrap()
     );
     let _ = fs::remove_dir_all(&dir);
+}
+
+/// Fold caches cross corpus kinds (use case 1): the fold entries of an
+/// `EncodedCorpus` run are all exact hits on a `ShardedCorpus` run of the
+/// same campaign and vice versa, and a one-benchmark append across the
+/// two kinds takes the kNN neighbour-delta path — every summary
+/// bit-identical to a cold run.
+#[test]
+fn uc1_fold_caches_cross_corpus_kinds() {
+    let full = corpus(SystemModel::intel());
+    let base = truncated(&full, 1);
+    let cfg = uc1_cfg(ModelKind::Knn);
+    let spec = few_runs_spec(&cfg);
+    let enc = EncodedCorpus::build(&full, &spec).unwrap();
+    let sh = sharded(&full, &spec, 7);
+    let base_enc = EncodedCorpus::build(&base, &spec).unwrap();
+    let base_sh = sharded(&base, &spec, 7);
+    let cold = evaluate_few_runs(&full, cfg).unwrap();
+
+    let same: [(&dyn FoldSource, &dyn FoldSource); 2] = [(&enc, &sh), (&sh, &enc)];
+    for (i, (from, to)) in same.into_iter().enumerate() {
+        let seeded = evaluate_few_runs_incremental(from, cfg, &[]).unwrap();
+        assert_eq!(seeded.summary, cold, "direction {i}: cold run");
+        let warm = evaluate_few_runs_incremental(to, cfg, &seeded.folds).unwrap();
+        assert_eq!(
+            warm.stats.hits,
+            full.len(),
+            "direction {i}: {:?}",
+            warm.stats
+        );
+        assert_eq!(warm.summary, cold, "direction {i}: warm run");
+        assert_eq!(warm.folds, seeded.folds, "direction {i}: fold entries");
+    }
+
+    let grown: [(&dyn FoldSource, &dyn FoldSource); 2] = [(&base_enc, &sh), (&base_sh, &enc)];
+    for (i, (from, to)) in grown.into_iter().enumerate() {
+        let seeded = evaluate_few_runs_incremental(from, cfg, &[]).unwrap();
+        let warm = evaluate_few_runs_incremental(to, cfg, &seeded.folds).unwrap();
+        assert_eq!(warm.summary, cold, "direction {i}: append");
+        assert_eq!(warm.stats.hits, 0, "direction {i}: {:?}", warm.stats);
+        assert!(warm.stats.deltas > 0, "direction {i}: {:?}", warm.stats);
+        assert!(warm.stats.misses >= 1, "direction {i}: {:?}", warm.stats);
+        assert_eq!(warm.stats.total(), full.len(), "direction {i}");
+    }
+}
+
+/// [`uc1_fold_caches_cross_corpus_kinds`] for use case 2, where the fold
+/// fingerprints hash source/destination digest pairs and the sharded
+/// pair uses a different layout on each side.
+#[test]
+fn uc2_fold_caches_cross_corpus_kinds() {
+    let (src, dst) = (corpus(SystemModel::amd()), corpus(SystemModel::intel()));
+    let (base_src, base_dst) = (truncated(&src, 1), truncated(&dst, 1));
+    let cfg = uc2_cfg(ModelKind::Knn);
+    let (src_spec, dst_spec) = cross_system_specs(&src, &cfg);
+    let enc = (
+        EncodedCorpus::build(&src, &src_spec).unwrap(),
+        EncodedCorpus::build(&dst, &dst_spec).unwrap(),
+    );
+    let sh = (sharded(&src, &src_spec, 7), sharded(&dst, &dst_spec, 13));
+    let base_enc = (
+        EncodedCorpus::build(&base_src, &src_spec).unwrap(),
+        EncodedCorpus::build(&base_dst, &dst_spec).unwrap(),
+    );
+    let base_sh = (
+        sharded(&base_src, &src_spec, 7),
+        sharded(&base_dst, &dst_spec, 13),
+    );
+    let cold = evaluate_cross_system(&src, &dst, cfg).unwrap();
+
+    type Pair<'a> = (&'a dyn FoldSource, &'a dyn FoldSource);
+    let enc_pair: Pair = (&enc.0, &enc.1);
+    let sh_pair: Pair = (&sh.0, &sh.1);
+    let eval =
+        |(s, d): Pair, prior: &[_]| evaluate_cross_system_incremental(s, d, cfg, prior).unwrap();
+
+    for (i, (from, to)) in [(enc_pair, sh_pair), (sh_pair, enc_pair)]
+        .into_iter()
+        .enumerate()
+    {
+        let seeded = eval(from, &[]);
+        assert_eq!(seeded.summary, cold, "direction {i}: cold run");
+        let warm = eval(to, &seeded.folds);
+        assert_eq!(
+            warm.stats.hits,
+            src.len(),
+            "direction {i}: {:?}",
+            warm.stats
+        );
+        assert_eq!(warm.summary, cold, "direction {i}: warm run");
+    }
+
+    let base_enc_pair: Pair = (&base_enc.0, &base_enc.1);
+    let base_sh_pair: Pair = (&base_sh.0, &base_sh.1);
+    for (i, (from, to)) in [(base_enc_pair, sh_pair), (base_sh_pair, enc_pair)]
+        .into_iter()
+        .enumerate()
+    {
+        let seeded = eval(from, &[]);
+        let warm = eval(to, &seeded.folds);
+        assert_eq!(warm.summary, cold, "direction {i}: append");
+        assert_eq!(warm.stats.hits, 0, "direction {i}: {:?}", warm.stats);
+        assert!(warm.stats.deltas > 0, "direction {i}: {:?}", warm.stats);
+        assert!(warm.stats.misses >= 1, "direction {i}: {:?}", warm.stats);
+        assert_eq!(warm.stats.total(), src.len(), "direction {i}");
+    }
 }
 
 mod boundary_properties {
@@ -378,7 +494,7 @@ mod boundary_properties {
                 .resident_shards(3)
                 .build()
                 .unwrap();
-            let summary = evaluate_few_runs_sharded(&sh, cfg).unwrap();
+            let summary = evaluate_few_runs_encoded(&sh, cfg).unwrap();
             prop_assert_eq!(summary, evaluate_few_runs(&c, cfg).unwrap());
         }
     }
