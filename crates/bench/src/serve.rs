@@ -29,10 +29,25 @@
 //! and one arriving while the daemon drains for shutdown `"draining"`.
 //! The daemon micro-batches concurrent queries — whatever is queued
 //! when a worker looks, up to a batch cap — across the rayon pool, and
-//! exports `pv.serve.*` metrics through `pv-obs`: by construction
-//! `pv.serve.request` equals the total response count and the per-kind
-//! counters partition it (pinned by `tests/serve_protocol.rs` and
-//! `tests/serve_chaos.rs`).
+//! exports `pv.serve.*` metrics through `pv-obs`. Every arrival, whether
+//! a worker answers it or the reader rejects it, goes through
+//! [`ServeEngine::answer`], which seals the reply into
+//! [`ServeTelemetry`]. The seal is the one place a request is counted,
+//! so `pv.serve.request` equals the total response count and the
+//! per-kind counters partition it (pinned by `tests/serve_protocol.rs`
+//! and `tests/serve_chaos.rs`).
+//!
+//! # Ordering
+//!
+//! The control verbs (`health`, `reload`, `stats`) split a batch: the
+//! data lines between two control verbs are answered in parallel, and
+//! each control verb alone, after every earlier line of its batch has
+//! sealed. A control reply therefore observes every request with a
+//! smaller arrival sequence that reached the dispatcher, and every line
+//! after a `reload` is answered on the new snapshot. Lines the reader
+//! rejects (shed, draining) seal on the reader thread: a control verb is
+//! ordered after such a rejection on its own connection, but not after
+//! one on another connection.
 //!
 //! # Failure semantics on the serving path
 //!
@@ -112,13 +127,13 @@ pub const DEFAULT_RECORDER_CAPACITY: usize = 256;
 /// trips the flight recorder. `0` disables the burst triggers.
 pub const DEFAULT_ANOMALY_THRESHOLD: u64 = 32;
 
-/// The observability counters the serving layer emits. `pv.serve.request`
-/// counts every line answered; the `pv.serve.request.*` counters plus
-/// `pv.serve.shutdown` partition it by response kind; `pv.serve.batch`
-/// counts rayon dispatches; `pv.serve.shed` counts admission rejections
-/// (every shed is also an `overloaded` response); `pv.serve.reload` /
-/// `pv.serve.reload.fail` count snapshot swap attempts and whole-reload
-/// failures.
+/// The observability counters the serving layer emits besides the
+/// per-outcome ones ([`Outcome::counter`]). `pv.serve.request` counts
+/// every line answered and the outcome counters partition it;
+/// `pv.serve.batch` counts rayon dispatches; `pv.serve.shed` counts
+/// admission rejections (every `overloaded` response); `pv.serve.reload`
+/// / `pv.serve.reload.fail` count snapshot swap attempts and
+/// whole-reload failures.
 pub const SERVE_OBS_COUNTERS: &[&str] = &[
     "pv.serve.batch",
     "pv.serve.panic",
@@ -126,18 +141,7 @@ pub const SERVE_OBS_COUNTERS: &[&str] = &[
     "pv.serve.reload",
     "pv.serve.reload.fail",
     "pv.serve.request",
-    "pv.serve.request.bad",
-    "pv.serve.request.draining",
-    "pv.serve.request.error",
-    "pv.serve.request.health",
-    "pv.serve.request.not_found",
-    "pv.serve.request.ok",
-    "pv.serve.request.overloaded",
-    "pv.serve.request.reload",
-    "pv.serve.request.stats",
-    "pv.serve.request.timeout",
     "pv.serve.shed",
-    "pv.serve.shutdown",
 ];
 
 /// The gauges the serving layer maintains: instantaneous admission
@@ -149,6 +153,7 @@ pub const SERVE_OBS_GAUGES: &[&str] = &["pv.serve.queue_depth", "pv.serve.queue_
 /// explicitly.
 pub fn preregister_serve_counters() {
     pv_obs::metrics::preregister_counters(SERVE_OBS_COUNTERS);
+    pv_obs::metrics::preregister_counters(&Outcome::ALL.map(|o| o.counter()));
     pv_obs::metrics::preregister_counters(REGISTRY_OBS_COUNTERS);
     for name in SERVE_OBS_GAUGES {
         let _ = pv_obs::metrics::gauge(name);
@@ -600,24 +605,15 @@ impl Drop for RecordHandle {
 }
 
 /// A sealed response on its way back to the client: the rendered text,
-/// whether it acks a shutdown, and the pending access-log record.
+/// how the request was answered, and the pending access-log record.
 pub struct Reply {
     /// The response line (no trailing newline).
     pub text: String,
-    /// `true` when this reply acks a shutdown request.
-    pub shutdown: bool,
+    /// How the request was answered ([`Outcome::Shutdown`] acks a
+    /// shutdown).
+    pub outcome: Outcome,
     /// The pending access-log line, if the log is configured.
     pub record: Option<RecordHandle>,
-}
-
-/// An answered line before sealing: the rendered response plus what
-/// the telemetry plane needs to attribute it.
-struct Answered {
-    text: String,
-    outcome: Outcome,
-    model: Option<u64>,
-    virtual_ns: u64,
-    panicked: bool,
 }
 
 /// The latency breakdown and identity of one answered request, as
@@ -646,10 +642,11 @@ pub struct RequestTrace {
 /// 10s/1m/5m windows for every outcome and latency stage, the SLO
 /// error budget, the per-request access log, and the flight recorder.
 ///
-/// Totals here are *independent* of `pv-obs` — plain atomics bumped on
-/// exactly the same code paths as the `pv.serve.*` counters — so
-/// `{"op":"stats"}` reconciles with the final metrics snapshot by
-/// construction, and works even when no obs collector is installed.
+/// Totals here are *independent* of `pv-obs` — plain atomics, so
+/// `{"op":"stats"}` works even when no obs collector is installed — but
+/// [`Self::seal`] is the only code that moves either view: it bumps the
+/// totals and the `pv.serve.*` counters together, so the stats document
+/// reconciles with the metrics snapshot by construction.
 pub struct ServeTelemetry {
     clock: WindowClock,
     requests: RollingCounter,
@@ -763,11 +760,25 @@ impl ServeTelemetry {
         ]))
     }
 
-    /// Seals one answered request into the telemetry plane: windowed
-    /// counters, latency histograms, SLO budget, flight-recorder ring
-    /// and anomaly triggers. Returns the [`Reply`] carrying the pending
-    /// access-log record to the writer.
+    /// Seals one answered request: the `pv.serve.*` counters and
+    /// latency histogram, the windowed totals, SLO budget, flight-recorder
+    /// ring and anomaly triggers. The one place a request is counted.
+    /// Returns the [`Reply`] carrying the pending access-log record to
+    /// the writer.
     fn seal(self: &Arc<Self>, text: String, t: RequestTrace) -> Reply {
+        pv_obs::counter_inc!("pv.serve.request");
+        pv_obs::counter_inc!(t.outcome.counter());
+        if t.outcome == Outcome::Overloaded {
+            pv_obs::counter_inc!("pv.serve.shed");
+        }
+        if t.panicked {
+            pv_obs::counter_inc!("pv.serve.panic");
+        }
+        pv_obs::observe!(
+            "pv.serve.latency_ns",
+            pv_obs::metrics::BucketSpec::latency(),
+            t.queue_ns + t.predict_ns
+        );
         self.requests.inc();
         self.outcomes[t.outcome.index()].inc();
         self.queue_wait.record_ns(t.queue_ns);
@@ -816,7 +827,7 @@ impl ServeTelemetry {
         });
         Reply {
             text,
-            shutdown: t.outcome == Outcome::Shutdown,
+            outcome: t.outcome,
             record,
         }
     }
@@ -1007,6 +1018,24 @@ fn lock_mutex<T>(lock: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     lock.lock().unwrap_or_else(|p| p.into_inner())
 }
 
+/// One arrival for [`ServeEngine::answer`]: a request line, or the
+/// reader's verdict on a line that never reaches a worker.
+pub enum Input<'a> {
+    /// A complete request line.
+    Line(&'a str),
+    /// A line over the `max_line`-byte cap, discarded unread.
+    Oversized {
+        /// The cap the line exceeded.
+        max_line: usize,
+    },
+    /// A line shed at admission (queue full or an injected shed); the
+    /// detail says which. Sheds are answered before the line is parsed,
+    /// so no `id` is echoed.
+    Shed(String),
+    /// A line arriving while the daemon drains for shutdown.
+    Draining,
+}
+
 /// The query engine: a verified model table behind an atomically
 /// swappable snapshot, ready to answer protocol lines from any number
 /// of threads, plus the daemon's health state machine and (when backed
@@ -1021,6 +1050,7 @@ pub struct ServeEngine {
     plan: ServeFaultPlan,
     deadline: Option<Duration>,
     telemetry: Arc<ServeTelemetry>,
+    arrivals: AtomicU64,
     started: Instant,
 }
 
@@ -1036,6 +1066,7 @@ impl ServeEngine {
             plan: ServeFaultPlan::none(),
             deadline: None,
             telemetry: Arc::new(ServeTelemetry::default()),
+            arrivals: AtomicU64::new(0),
             started: Instant::now(),
         }
     }
@@ -1261,179 +1292,88 @@ impl ServeEngine {
         }
     }
 
-    /// Answers one protocol line: returns the response (without the
-    /// trailing newline) and its outcome, and updates the `pv.serve.*`
-    /// counters. No deadline or chaos applies on this path (see
-    /// [`Self::handle_timed`]).
+    /// Draws the next arrival sequence number — the key the chaos plan
+    /// and the access log use for a request.
+    fn next_seq(&self) -> u64 {
+        self.arrivals.fetch_add(1, Ordering::SeqCst)
+    }
+
+    /// Answers one protocol line as a fresh arrival: [`Self::answer`]
+    /// with the next arrival sequence, arriving now. Returns the response
+    /// (without the trailing newline) and its outcome.
     pub fn handle_line(&self, line: &str) -> (String, Outcome) {
-        let a = self.answer_full(line, false, false);
-        (a.text, a.outcome)
+        let reply = self.answer(Input::Line(line), self.next_seq(), Instant::now());
+        (reply.text, reply.outcome)
     }
 
-    /// Answers one protocol line on the daemon path: applies the chaos
-    /// plan's fault for arrival sequence `seq` and the per-request
-    /// deadline measured from `arrival`. An injected slow fault adds
-    /// its delay *virtually* to the elapsed time for the deadline check
-    /// (real sleep capped at [`SLOW_FAULT_REAL_CAP`]), so timeout
-    /// behavior is deterministic at any thread count.
-    pub fn handle_timed(&self, line: &str, seq: u64, arrival: Instant) -> (String, Outcome) {
-        let a = self.timed_full(line, seq, arrival);
-        (a.text, a.outcome)
-    }
-
-    /// [`Self::handle_timed`] plus telemetry sealing: the full daemon
-    /// path. `arrival` doubles as the queue-wait anchor — the elapsed
-    /// time when a worker picks the job up is the queue wait, the rest
-    /// is worker time.
-    pub fn handle_timed_sealed(&self, line: &str, seq: u64, arrival: Instant) -> Reply {
+    /// Answers one arrival — the engine's only request path — and seals
+    /// the reply into the telemetry plane, which counts it.
+    ///
+    /// For a line, applies the chaos plan's faults for arrival sequence
+    /// `seq` and the per-request deadline measured from `arrival`. An
+    /// injected slow fault adds its delay *virtually* to the elapsed
+    /// time for the deadline check (real sleep capped at
+    /// [`SLOW_FAULT_REAL_CAP`]), so timeout behavior is deterministic at
+    /// any thread count. A panic while answering (or an injected one) is
+    /// caught and answered as a typed `panic` error — one poisoned
+    /// request never takes the daemon down. `arrival` doubles as the
+    /// queue-wait anchor: the time elapsed when `answer` starts is the
+    /// queue wait, the rest is worker time.
+    pub fn answer(&self, input: Input<'_>, seq: u64, arrival: Instant) -> Reply {
         let queue_ns = arrival.elapsed().as_nanos() as u64;
         let start = Instant::now();
-        let a = self.timed_full(line, seq, arrival);
-        self.telemetry.seal(
-            a.text,
-            RequestTrace {
-                seq,
-                outcome: a.outcome,
-                model: a.model,
-                queue_ns,
-                predict_ns: start.elapsed().as_nanos() as u64,
-                virtual_ns: a.virtual_ns,
-                panicked: a.panicked,
-            },
-        )
-    }
-
-    fn timed_full(&self, line: &str, seq: u64, arrival: Instant) -> Answered {
         let mut penalty = Duration::ZERO;
-        if let Some(delay_ms) = self.plan.slow_at(seq) {
-            penalty = Duration::from_millis(delay_ms);
-            std::thread::sleep(penalty.min(SLOW_FAULT_REAL_CAP));
-        }
-        let expired = self
-            .deadline
-            .is_some_and(|d| arrival.elapsed() + penalty > d);
-        let mut a = self.answer_full(line, expired, self.plan.panics_at(seq));
-        a.virtual_ns = penalty.as_nanos() as u64;
-        a
-    }
-
-    /// Answers a line with the worker hardened against panics: a panic
-    /// inside prediction (or an injected one) is caught, counted
-    /// (`pv.serve.panic`), and answered as a typed `panic` error — one
-    /// poisoned request never takes the daemon down.
-    fn answer_full(&self, line: &str, expired: bool, inject_panic: bool) -> Answered {
-        pv_obs::counter_inc!("pv.serve.request");
-        let start = Instant::now();
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            if inject_panic {
-                panic!("injected fault: worker panic");
+        let (text, outcome, model, panicked) = match input {
+            Input::Line(line) => {
+                if let Some(delay_ms) = self.plan.slow_at(seq) {
+                    penalty = Duration::from_millis(delay_ms);
+                    std::thread::sleep(penalty.min(SLOW_FAULT_REAL_CAP));
+                }
+                let expired = self
+                    .deadline
+                    .is_some_and(|d| arrival.elapsed() + penalty > d);
+                let result = catch_unwind(AssertUnwindSafe(|| {
+                    if self.plan.panics_at(seq) {
+                        panic!("injected fault: worker panic");
+                    }
+                    self.respond(line, expired)
+                }));
+                match result {
+                    Ok((text, outcome, model)) => (text, outcome, model, false),
+                    Err(_) => {
+                        let detail = "worker panicked while answering; request aborted";
+                        let text = error_response(None, "panic", detail.into());
+                        (text, Outcome::Error, None, true)
+                    }
+                }
             }
-            self.respond(line, expired)
-        }));
-        let (text, outcome, model, panicked) = match result {
-            Ok((text, outcome, model)) => (text, outcome, model, false),
-            Err(_) => {
-                pv_obs::counter_inc!("pv.serve.panic");
-                (
-                    error_response(
-                        None,
-                        "panic",
-                        "worker panicked while answering; request aborted".into(),
-                    ),
-                    Outcome::Error,
-                    None,
-                    true,
-                )
+            Input::Oversized { max_line } => {
+                let detail = format!("request line exceeds {max_line} bytes");
+                let text = error_response(None, "bad-request", detail);
+                (text, Outcome::BadRequest, None, false)
+            }
+            Input::Shed(detail) => {
+                let text = error_response(None, "overloaded", detail);
+                (text, Outcome::Overloaded, None, false)
+            }
+            Input::Draining => {
+                let detail = "daemon is draining for shutdown; request rejected";
+                let text = error_response(None, "draining", detail.into());
+                (text, Outcome::Draining, None, false)
             }
         };
-        pv_obs::observe!(
-            "pv.serve.latency_ns",
-            pv_obs::metrics::BucketSpec::latency(),
-            start.elapsed().as_nanos() as f64
-        );
-        pv_obs::counter_inc!(outcome.counter());
-        Answered {
-            text,
-            outcome,
-            model,
-            virtual_ns: 0,
-            panicked,
-        }
-    }
-
-    /// The typed response to a line that exceeded the daemon's length
-    /// cap (counted like any other answered request).
-    pub fn handle_oversized(&self, max_line: usize) -> (String, Outcome) {
-        pv_obs::counter_inc!("pv.serve.request");
-        pv_obs::counter_inc!(Outcome::BadRequest.counter());
-        (
-            error_response(
-                None,
-                "bad-request",
-                format!("request line exceeds {max_line} bytes"),
-            ),
-            Outcome::BadRequest,
-        )
-    }
-
-    /// [`Self::handle_oversized`] plus telemetry sealing.
-    pub fn handle_oversized_sealed(&self, seq: u64, max_line: usize) -> Reply {
-        let (text, outcome) = self.handle_oversized(max_line);
-        self.seal_immediate(text, outcome, seq)
-    }
-
-    /// Seals a reader-path response (shed, draining, oversized) that
-    /// never waited in the queue or reached a worker.
-    pub fn seal_immediate(&self, text: String, outcome: Outcome, seq: u64) -> Reply {
         self.telemetry.seal(
             text,
             RequestTrace {
                 seq,
                 outcome,
-                model: None,
-                queue_ns: 0,
-                predict_ns: 0,
-                virtual_ns: 0,
-                panicked: false,
+                model,
+                queue_ns,
+                predict_ns: start.elapsed().as_nanos() as u64,
+                virtual_ns: penalty.as_nanos() as u64,
+                panicked,
             },
         )
-    }
-
-    /// The typed response to a request shed at admission — queue full
-    /// or an injected shed fault. Sheds are answered by the *reader*,
-    /// before the line is ever parsed, so no `id` is echoed.
-    pub fn handle_shed(&self, detail: String) -> (String, Outcome) {
-        pv_obs::counter_inc!("pv.serve.request");
-        pv_obs::counter_inc!("pv.serve.shed");
-        pv_obs::counter_inc!(Outcome::Overloaded.counter());
-        (
-            error_response(None, "overloaded", detail),
-            Outcome::Overloaded,
-        )
-    }
-
-    /// The typed response to a line arriving while the daemon drains.
-    pub fn handle_draining(&self) -> (String, Outcome) {
-        pv_obs::counter_inc!("pv.serve.request");
-        pv_obs::counter_inc!(Outcome::Draining.counter());
-        (
-            error_response(
-                None,
-                "draining",
-                "daemon is draining for shutdown; request rejected".into(),
-            ),
-            Outcome::Draining,
-        )
-    }
-
-    /// Answers a micro-batch across the rayon pool, preserving order.
-    pub fn handle_batch(&self, lines: &[&str]) -> Vec<(String, Outcome)> {
-        pv_obs::counter_inc!("pv.serve.batch");
-        lines
-            .to_vec()
-            .into_par_iter()
-            .map(|l| self.handle_line(l))
-            .collect()
     }
 
     fn health_response(&self, id: Option<Content>) -> (String, Outcome) {
@@ -1748,6 +1688,30 @@ pub enum LineItem {
     Oversized,
 }
 
+impl LineItem {
+    fn input(&self, max_line: usize) -> Input<'_> {
+        match self {
+            LineItem::Line(line) => Input::Line(line),
+            LineItem::Oversized => Input::Oversized { max_line },
+        }
+    }
+
+    /// Whether this is a control verb (`health`, `reload`, `stats`),
+    /// which the dispatcher answers alone, in arrival order. Only a line
+    /// naming an `"op"` key (or holding an escape that could spell one)
+    /// is parsed to find out, so data lines skip the extra parse.
+    fn is_control(&self) -> bool {
+        let LineItem::Line(line) = self else {
+            return false;
+        };
+        (line.contains("\"op\"") || line.contains('\\'))
+            && matches!(
+                parse_request(line),
+                Ok(Parsed::Health { .. } | Parsed::Reload { .. } | Parsed::Stats { .. })
+            )
+    }
+}
+
 /// A queued request: the line, its global arrival sequence and arrival
 /// time (the deadline/chaos keys), and the reply slot its sealed
 /// [`Reply`] goes back on.
@@ -1872,7 +1836,6 @@ impl Default for ServeOpts {
 pub struct ServeShared {
     engine: Arc<ServeEngine>,
     admission: Arc<Admission>,
-    seq: Arc<AtomicU64>,
     jobs: Sender<Job>,
     max_line: usize,
 }
@@ -1888,7 +1851,6 @@ impl ServeShared {
         ServeShared {
             engine,
             admission,
-            seq: Arc::new(AtomicU64::new(0)),
             jobs,
             max_line,
         }
@@ -1958,47 +1920,16 @@ pub fn read_lines_bounded<R: Read>(
     }
 }
 
-fn process_job(
-    engine: &ServeEngine,
-    item: &LineItem,
-    seq: u64,
-    arrival: Instant,
-    max_line: usize,
-) -> Reply {
-    match item {
-        LineItem::Line(l) => engine.handle_timed_sealed(l, seq, arrival),
-        LineItem::Oversized => engine.handle_oversized_sealed(seq, max_line),
-    }
-}
-
-/// After the shutdown ack: answer every job already admitted (plus a
-/// short grace window for readers that raced the drain flag), then
-/// abandon the queue. Every drained job still gets its typed response —
-/// a clean drain never silently drops an admitted request.
-fn drain_remaining(
-    engine: &ServeEngine,
-    jobs: &Receiver<Job>,
-    admission: &Admission,
-    max_line: usize,
-) {
-    loop {
-        match jobs.recv_timeout(DRAIN_GRACE) {
-            Ok(job) => {
-                admission.leave();
-                let reply = process_job(engine, &job.item, job.seq, job.arrival, max_line);
-                let _ = job.reply.send(reply);
-            }
-            Err(_) => return,
-        }
-    }
-}
-
 /// The micro-batching dispatcher: drains whatever is admitted (up to
 /// `opts.batch` jobs), answers the batch across the rayon pool, and
-/// routes each response back to its connection's reply slot. Polls the
-/// reload signal (SIGHUP) between batches. On a shutdown ack it flips
-/// the engine to `draining`, answers everything still queued, and
-/// exits; otherwise it runs until the job channel closes.
+/// routes each response back to its connection's reply slot. Control
+/// verbs split the batch (see the module docs, "Ordering"): the data
+/// lines between two of them are answered in parallel, each control verb
+/// alone once every earlier line has sealed. Polls the reload signal
+/// (SIGHUP) between batches. On a shutdown ack it flips the engine to
+/// `draining`, answers every job already admitted (plus a short grace
+/// window for readers that raced the drain flag), and exits; otherwise
+/// it runs until the job channel closes.
 pub fn run_batcher(
     engine: &ServeEngine,
     jobs: &Receiver<Job>,
@@ -2006,6 +1937,11 @@ pub fn run_batcher(
     opts: &ServeOpts,
 ) {
     let batch = opts.batch.max(1);
+    let answer = |job: &Job| engine.answer(job.item.input(opts.max_line), job.seq, job.arrival);
+    let answer_run = |run: &[Job]| -> Vec<Reply> {
+        let run: Vec<&Job> = run.iter().collect();
+        run.into_par_iter().map(answer).collect()
+    };
     loop {
         if let Some(signal) = &opts.reload_signal {
             if signal.swap(false, Ordering::SeqCst) {
@@ -2029,23 +1965,30 @@ pub fn run_batcher(
             admission.leave();
         }
         pv_obs::counter_inc!("pv.serve.batch");
-        let work: Vec<(&LineItem, u64, Instant)> = pending
-            .iter()
-            .map(|j| (&j.item, j.seq, j.arrival))
-            .collect();
-        let results: Vec<Reply> = work
-            .into_par_iter()
-            .map(|(item, seq, arrival)| process_job(engine, item, seq, arrival, opts.max_line))
-            .collect();
+        let mut replies: Vec<Reply> = Vec::with_capacity(pending.len());
+        let mut run = 0;
+        for (i, job) in pending.iter().enumerate() {
+            if job.item.is_control() {
+                replies.extend(answer_run(&pending[run..i]));
+                replies.push(answer(job));
+                run = i + 1;
+            }
+        }
+        replies.extend(answer_run(&pending[run..]));
         let mut saw_shutdown = false;
-        for (job, reply) in pending.iter().zip(results) {
-            saw_shutdown |= reply.shutdown;
+        for (job, reply) in pending.iter().zip(replies) {
+            saw_shutdown |= reply.outcome == Outcome::Shutdown;
             // A vanished client already closed its reply channel; fine.
             let _ = job.reply.send(reply);
         }
         if saw_shutdown {
+            // Every drained job still gets its typed response: a clean
+            // drain never silently drops an admitted request.
             engine.begin_drain();
-            drain_remaining(engine, jobs, admission, opts.max_line);
+            while let Ok(job) = jobs.recv_timeout(DRAIN_GRACE) {
+                admission.leave();
+                let _ = job.reply.send(answer(&job));
+            }
             return;
         }
     }
@@ -2074,32 +2017,33 @@ where
     let ServeShared {
         engine,
         admission,
-        seq,
         jobs,
         max_line,
     } = shared;
     std::thread::spawn(move || {
         let _ = read_lines_bounded(reader, max_line, |item| {
-            let seq = seq.fetch_add(1, Ordering::SeqCst);
+            let seq = engine.next_seq();
             let (reply_tx, reply_rx) = mpsc::channel::<Reply>();
             if slots_tx.send(reply_rx).is_err() {
                 return false; // Writer is gone; stop reading.
             }
-            let immediate = if engine.is_draining() {
-                Some(engine.handle_draining())
+            let rejection = if engine.is_draining() {
+                Some(Input::Draining)
             } else if engine.plan().sheds_at(seq) {
-                Some(engine.handle_shed(format!("injected shed at arrival sequence {seq}")))
+                Some(Input::Shed(format!(
+                    "injected shed at arrival sequence {seq}"
+                )))
             } else if !admission.try_enter() {
-                Some(engine.handle_shed(format!(
+                Some(Input::Shed(format!(
                     "admission queue full ({} queued)",
                     admission.capacity()
                 )))
             } else {
                 None
             };
-            match immediate {
-                Some((response, outcome)) => {
-                    let _ = reply_tx.send(engine.seal_immediate(response, outcome, seq));
+            match rejection {
+                Some(input) => {
+                    let _ = reply_tx.send(engine.answer(input, seq, Instant::now()));
                     true
                 }
                 None => jobs
@@ -2120,7 +2064,7 @@ where
             return Ok(false);
         };
         let write_start = Instant::now();
-        if reply.shutdown {
+        if reply.outcome == Outcome::Shutdown {
             // Best-effort ack: the client may legitimately hang up the
             // moment it has read the ack bytes, racing our trailing
             // newline/flush into an EPIPE. The daemon is coming down
@@ -2300,12 +2244,12 @@ mod tests {
             "{{\"id\": 42, \"model\": \"{key:016x}\", \"profile\": {}}}",
             serde_json::to_string(&profile).expect("json")
         );
-        let (resp, outcome) = engine.handle_timed(&line, 0, Instant::now());
+        let (resp, outcome) = engine.handle_line(&line);
         assert_eq!(outcome, Outcome::Timeout, "{resp}");
         assert!(resp.contains("timeout"), "{resp}");
         assert!(resp.contains("42"), "{resp}");
         // Ops are exempt from the deadline.
-        let (resp, outcome) = engine.handle_timed("{\"op\": \"health\"}", 1, Instant::now());
+        let (resp, outcome) = engine.handle_line("{\"op\": \"health\"}");
         assert_eq!(outcome, Outcome::Health, "{resp}");
     }
 
@@ -2319,13 +2263,13 @@ mod tests {
         let line = request_line(key, &profile);
         // Un-faulted sequence: well within the deadline.
         let started = Instant::now();
-        let (_, outcome) = engine.handle_timed(&line, 4, Instant::now());
-        assert_eq!(outcome, Outcome::Ok);
+        let reply = engine.answer(Input::Line(&line), 4, Instant::now());
+        assert_eq!(reply.outcome, Outcome::Ok);
         // Faulted sequence: a day of virtual delay versus an hour of
         // deadline — times out, but only ~SLOW_FAULT_REAL_CAP of real
         // time passes.
-        let (resp, outcome) = engine.handle_timed(&line, 5, Instant::now());
-        assert_eq!(outcome, Outcome::Timeout, "{resp}");
+        let reply = engine.answer(Input::Line(&line), 5, Instant::now());
+        assert_eq!(reply.outcome, Outcome::Timeout, "{}", reply.text);
         assert!(started.elapsed() < Duration::from_secs(30));
     }
 
@@ -2353,15 +2297,15 @@ mod tests {
     #[test]
     fn shed_and_draining_responses_are_typed() {
         let (engine, _, _) = tiny_engine();
-        let (resp, outcome) = engine.handle_shed("queue full".into());
-        assert_eq!(outcome, Outcome::Overloaded);
-        assert!(resp.contains("overloaded"), "{resp}");
+        let reply = engine.answer(Input::Shed("queue full".into()), 0, Instant::now());
+        assert_eq!(reply.outcome, Outcome::Overloaded);
+        assert!(reply.text.contains("overloaded"), "{}", reply.text);
         assert!(!engine.is_draining());
         engine.begin_drain();
         assert!(engine.is_draining());
-        let (resp, outcome) = engine.handle_draining();
-        assert_eq!(outcome, Outcome::Draining);
-        assert!(resp.contains("draining"), "{resp}");
+        let reply = engine.answer(Input::Draining, 1, Instant::now());
+        assert_eq!(reply.outcome, Outcome::Draining);
+        assert!(reply.text.contains("draining"), "{}", reply.text);
     }
 
     #[test]
@@ -2522,10 +2466,14 @@ mod tests {
         let profile = Profile::from_runs(&corpus.benchmarks[0].runs, 10).expect("profile");
         let line = request_line(key, &profile);
         for seq in 0..3 {
-            let reply = engine.handle_timed_sealed(&line, seq, Instant::now());
+            let reply = engine.answer(Input::Line(&line), seq, Instant::now());
             assert!(reply.text.contains("\"ok\":true"), "{}", reply.text);
         }
-        let reply = engine.handle_timed_sealed("{\"op\": \"stats\", \"id\": 8}", 3, Instant::now());
+        let reply = engine.answer(
+            Input::Line("{\"op\": \"stats\", \"id\": 8}"),
+            3,
+            Instant::now(),
+        );
         let doc = parse(&reply.text);
         assert_eq!(get(&doc, "ok"), &Content::Bool(true), "{doc:?}");
         assert_eq!(get_str(&doc, "op"), "stats");
@@ -2551,7 +2499,7 @@ mod tests {
         assert_eq!(engine.telemetry().total_outcome(Outcome::Stats), 1);
         // The deadline never applies to stats.
         let engine2 = ServeEngine::from_models(HashMap::new()).with_deadline(Some(Duration::ZERO));
-        let (resp, outcome) = engine2.handle_timed("{\"op\": \"stats\"}", 0, Instant::now());
+        let (resp, outcome) = engine2.handle_line("{\"op\": \"stats\"}");
         assert_eq!(outcome, Outcome::Stats, "{resp}");
     }
 
@@ -2562,14 +2510,14 @@ mod tests {
         let engine = Arc::new(engine.with_fault_plan(ServeFaultPlan::none().inject_panic(1)));
         let profile = Profile::from_runs(&corpus.benchmarks[0].runs, 10).expect("profile");
         let line = request_line(key, &profile);
-        let before = engine.handle_timed_sealed(&line, 0, Instant::now());
+        let before = engine.answer(Input::Line(&line), 0, Instant::now());
         assert!(before.text.contains("\"ok\":true"), "{}", before.text);
-        let panicked = engine.handle_timed_sealed(&line, 1, Instant::now());
+        let panicked = engine.answer(Input::Line(&line), 1, Instant::now());
         let doc = parse(&panicked.text);
         assert_eq!(get(&doc, "ok"), &Content::Bool(false), "{doc:?}");
         assert_eq!(get_str(&doc, "error.kind"), "panic", "{doc:?}");
         // The engine keeps serving bit-identically after the panic.
-        let after = engine.handle_timed_sealed(&line, 2, Instant::now());
+        let after = engine.answer(Input::Line(&line), 2, Instant::now());
         assert_eq!(before.text, after.text);
         assert_eq!(engine.telemetry().total_requests(), 3);
         assert_eq!(engine.telemetry().total_outcome(Outcome::Error), 1);
@@ -2588,11 +2536,11 @@ mod tests {
         let profile = Profile::from_runs(&corpus.benchmarks[0].runs, 10).expect("profile");
         let line = request_line(key, &profile);
         for seq in 0..4 {
-            engine.handle_timed_sealed(&line, seq, Instant::now());
+            engine.answer(Input::Line(&line), seq, Instant::now());
         }
         // A bad request burns budget; ops never enter the budget.
-        engine.handle_timed_sealed("this is not json", 4, Instant::now());
-        engine.handle_timed_sealed("{\"op\": \"health\"}", 5, Instant::now());
+        engine.answer(Input::Line("this is not json"), 4, Instant::now());
+        engine.answer(Input::Line("{\"op\": \"health\"}"), 5, Instant::now());
         let (health, _) = engine.handle_line("{\"op\": \"health\"}");
         let doc = parse(&health);
         assert_eq!(get_u64(&doc, "slo.target_ms"), 3_600_000, "{doc:?}");
@@ -2622,7 +2570,7 @@ mod tests {
                 .with_telemetry(telemetry),
         );
         let profile = Profile::from_runs(&corpus.benchmarks[0].runs, 10).expect("profile");
-        let reply = engine.handle_timed_sealed(&request_line(key, &profile), 0, Instant::now());
+        let reply = engine.answer(Input::Line(&request_line(key, &profile)), 0, Instant::now());
         assert!(reply.text.contains("\"ok\":true"), "{}", reply.text);
         let doc = parse(&engine.stats_json());
         assert_eq!(get_u64(&doc, "slo.eligible"), 1, "{doc:?}");
@@ -2647,8 +2595,7 @@ mod tests {
         let engine = Arc::new(engine.with_telemetry(telemetry));
         assert!(!dump.exists(), "recorder must not dump before an anomaly");
         for seq in 0..2 {
-            let (text, outcome) = engine.handle_shed("queue full".into());
-            engine.seal_immediate(text, outcome, seq);
+            engine.answer(Input::Shed("queue full".into()), seq, Instant::now());
         }
         assert!(dump.exists(), "two sheds in 10s must trip the recorder");
         let first = std::fs::read_to_string(&dump).expect("dump");
@@ -2664,8 +2611,7 @@ mod tests {
         assert_eq!(get_u64(&ring[1], "seq"), 1);
         // The latch is one-shot: later anomalies never overwrite the
         // first post-mortem.
-        let (text, outcome) = engine.handle_shed("queue full".into());
-        engine.seal_immediate(text, outcome, 2);
+        engine.answer(Input::Shed("queue full".into()), 2, Instant::now());
         engine.telemetry().trip_recorder("reload-failed", 9);
         assert_eq!(std::fs::read_to_string(&dump).expect("dump"), first);
         let _ = std::fs::remove_file(&dump);
@@ -2687,9 +2633,9 @@ mod tests {
         let line = request_line(key, &profile);
         // finish() logs the measured write time; a dropped handle (the
         // client vanished) still logs its line with write_ns 0.
-        let finished = engine.handle_timed_sealed(&line, 0, Instant::now());
+        let finished = engine.answer(Input::Line(&line), 0, Instant::now());
         finished.record.expect("record").finish(77);
-        let dropped = engine.handle_timed_sealed("not json", 1, Instant::now());
+        let dropped = engine.answer(Input::Line("not json"), 1, Instant::now());
         drop(dropped);
         let text = std::fs::read_to_string(&log).expect("access log");
         let entries: Vec<Content> = text.lines().map(parse).collect();
@@ -2709,12 +2655,102 @@ mod tests {
         let _ = std::fs::remove_file(&log);
     }
 
+    /// Pipes `input` through `serve_connection` and `run_batcher` in
+    /// memory, holding the dispatcher back until every line is queued so
+    /// the whole input is one batch. Returns the reply lines.
+    fn serve_one_batch(engine: &Arc<ServeEngine>, input: String) -> Vec<String> {
+        let n = input.lines().count();
+        let (jobs_tx, jobs_rx) = mpsc::channel::<Job>();
+        let admission = Arc::new(Admission::new(0));
+        let shared = ServeShared::new(
+            Arc::clone(engine),
+            Arc::clone(&admission),
+            jobs_tx,
+            DEFAULT_MAX_LINE,
+        );
+        let mut out = Vec::new();
+        std::thread::scope(|scope| {
+            let writer = &mut out;
+            let conn = scope.spawn(move || {
+                serve_connection(io::Cursor::new(input.into_bytes()), writer, shared)
+            });
+            let (batch_tx, batch_rx) = mpsc::channel::<Job>();
+            for _ in 0..n {
+                batch_tx.send(jobs_rx.recv().unwrap()).unwrap();
+            }
+            drop(batch_tx);
+            run_batcher(engine, &batch_rx, &admission, &ServeOpts::default());
+            conn.join().unwrap().unwrap();
+        });
+        String::from_utf8(out)
+            .unwrap()
+            .lines()
+            .map(str::to_string)
+            .collect()
+    }
+
+    #[test]
+    fn control_verbs_observe_every_earlier_line_of_their_batch() {
+        let (engine, key, corpus) = tiny_engine();
+        let engine = Arc::new(engine);
+        let profile = Profile::from_runs(&corpus.benchmarks[0].runs, 10).expect("profile");
+        let predict = request_line(key, &profile);
+        for i in 0..200u64 {
+            let replies = serve_one_batch(&engine, format!("{predict}\n{{\"op\":\"stats\"}}\n"));
+            assert!(replies[0].contains("\"ok\":true"), "{}", replies[0]);
+            let stats = parse(&replies[1]);
+            assert_eq!(
+                get_u64(&stats, "totals.requests"),
+                2 * i + 1,
+                "iteration {i}"
+            );
+            assert_eq!(get_u64(&stats, "totals.ok"), i + 1, "iteration {i}");
+        }
+
+        // A health probe after a reload in the same batch sees the
+        // reloaded model set: a second entry appears on disk on even
+        // iterations and vanishes on odd ones.
+        let (registry, dir, key, corpus) = registry_with_model("ordering");
+        let engine = Arc::new(ServeEngine::from_registry(&registry).expect("load"));
+        let artifact = registry.load_key(key).expect("entry").artifact;
+        let fp = pv_core::corpus_fingerprint(&corpus) ^ 1;
+        let second = registry.store(fp, &artifact).expect("store");
+        let second_path = dir.join(format!("model-{second:016x}.json"));
+        let sealed = std::fs::read(&second_path).expect("read entry");
+        let profile = Profile::from_runs(&corpus.benchmarks[0].runs, 10).expect("profile");
+        let predict = request_line(key, &profile);
+        for i in 0..200 {
+            let present = i % 2 == 0;
+            if present {
+                std::fs::write(&second_path, &sealed).expect("restore entry");
+            } else {
+                std::fs::remove_file(&second_path).expect("rm entry");
+            }
+            let replies = serve_one_batch(
+                &engine,
+                format!("{predict}\n{{\"op\":\"reload\"}}\n{{\"op\":\"health\"}}\n"),
+            );
+            assert!(replies[0].contains("\"ok\":true"), "{}", replies[0]);
+            assert_eq!(
+                get_u64(&parse(&replies[1]), "loaded"),
+                1 + u64::from(present)
+            );
+            let health = &replies[2];
+            assert_eq!(
+                health.contains(&format!("{second:016x}")),
+                present,
+                "iteration {i}: {health}"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn telemetry_prometheus_renders_without_a_collector() {
         let (engine, key, corpus) = tiny_engine();
         let engine = Arc::new(engine);
         let profile = Profile::from_runs(&corpus.benchmarks[0].runs, 10).expect("profile");
-        engine.handle_timed_sealed(&request_line(key, &profile), 0, Instant::now());
+        engine.answer(Input::Line(&request_line(key, &profile)), 0, Instant::now());
         let prom = engine.telemetry_prometheus();
         assert!(
             prom.contains("pv_serve_request 1"),

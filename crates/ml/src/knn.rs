@@ -11,7 +11,6 @@ use pv_stats::StatsError;
 
 use crate::dataset::{Dataset, DenseMatrix};
 use crate::distance::{cosine_with_sq_norms, squared_norm, Distance};
-use crate::kernel::{self, TILE_Q, TILE_T};
 use crate::{Regressor, Result};
 
 /// The canonical neighbour *selection* order: ascending distance, ties
@@ -199,51 +198,6 @@ impl Regressor for KnnRegressor {
         let _timer = pv_obs::timed!("pv.ml.knn.predict_ns");
         let neigh = self.neighbors(x)?;
         self.predict_from_neighbors(neigh)
-    }
-
-    fn predict_batch(&self, xs: &DenseMatrix) -> Result<DenseMatrix> {
-        // The blocked all-pairs kernel serves cosine with cached norms
-        // (the fitted configuration of the paper's model); other metrics
-        // keep the row-at-a-time loop. Bit-identical either way: the
-        // batch matrix entry for (query, row) is the exact per-pair
-        // kernel `neighbors` evaluates, so selection and prediction see
-        // the same numbers (pinned by `tests/kernel_parity.rs`).
-        let (tx, ty) = self.fitted()?;
-        let (Distance::Cosine, Some(norms)) = (self.distance, &self.train_sq_norms) else {
-            let mut out = Vec::with_capacity(xs.rows() * ty.cols());
-            for r in 0..xs.rows() {
-                out.extend(self.predict(xs.row(r))?);
-            }
-            return DenseMatrix::from_flat(xs.rows(), ty.cols(), out);
-        };
-        if xs.cols() != tx.cols() {
-            return Err(StatsError::invalid(
-                "KnnRegressor::predict",
-                format!(
-                    "rows have {} features, model expects {}",
-                    xs.cols(),
-                    tx.cols()
-                ),
-            ));
-        }
-        let _timer = pv_obs::timed!("pv.ml.knn.predict_batch_ns");
-        pv_obs::counter_add!("pv.ml.kernel.knn_batch_rows", xs.rows() as u64);
-        let q_norms: Vec<f64> = (0..xs.rows()).map(|r| squared_norm(xs.row(r))).collect();
-        let dmat = kernel::cosine_distance_matrix(xs, &q_norms, tx, norms, TILE_Q, TILE_T);
-        let nt = tx.rows();
-        let k = self.k.min(nt);
-        let mut out = Vec::with_capacity(xs.rows() * ty.cols());
-        for q in 0..xs.rows() {
-            let mut dists: Vec<(usize, f64)> = dmat[q * nt..(q + 1) * nt]
-                .iter()
-                .copied()
-                .enumerate()
-                .collect();
-            dists.select_nth_unstable_by(k - 1, canonical);
-            dists.truncate(k);
-            out.extend(self.predict_from_neighbors(dists)?);
-        }
-        DenseMatrix::from_flat(xs.rows(), ty.cols(), out)
     }
 }
 
@@ -457,7 +411,7 @@ mod tests {
         let data = wide_dataset(80, 68);
         let mut m = KnnRegressor::new(15).with_distance(Distance::Cosine);
         m.fit(&data).unwrap();
-        let queries = wide_dataset(17, 68); // odd count: exercises tile tails
+        let queries = wide_dataset(17, 68);
         let batch = m.predict_batch(&queries.x).unwrap();
         for r in 0..queries.x.rows() {
             let row = m.predict(queries.x.row(r)).unwrap();

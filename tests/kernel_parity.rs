@@ -7,9 +7,7 @@
 //!    *bitwise* where the contract says bitwise (Chebyshev max, the
 //!    norm/dot chain identity), *tolerance* where reassociation is real
 //!    (sums, dots, central moments);
-//! 2. the blocked batch-kNN distance matrix — bit-identical to
-//!    row-at-a-time scoring at several tile shapes, and batch
-//!    predictions bit-identical to `predict`;
+//! 2. batch kNN predictions — bit-identical to `predict`;
 //! 3. exact-vs-binned tree splits — the accuracy thresholds that gate
 //!    the binned default (`PV_EXACT_TREES` opt-out) at the evaluation
 //!    level.
@@ -18,7 +16,6 @@ use perfvar_suite::core::usecase1::FewRunsConfig;
 use perfvar_suite::core::{evaluate_few_runs, ModelKind, ReprKind};
 use perfvar_suite::ml::dataset::Dataset;
 use perfvar_suite::ml::distance::{cosine_with_sq_norms, squared_norm, Distance};
-use perfvar_suite::ml::kernel::{cosine_distance_matrix, TILE_Q, TILE_T};
 use perfvar_suite::ml::{DenseMatrix, GradientBoostingRegressor, KnnRegressor, Regressor};
 use perfvar_suite::stats::kernel::{
     central_sums4, dot4, max_abs_diff4, sq_norm4, sum4, sum_abs_diff4, sum_sq_diff4,
@@ -119,50 +116,21 @@ fn central_sums_match_scalar_reference_within_tolerance() {
 
 #[test]
 fn all_cosine_routes_agree_bitwise() {
-    // eval, cached-norm, and the batch matrix must be the same chain.
+    // eval and cached-norm must be the same chain.
     let rows = vecs(12, 68, 5150);
-    let m = DenseMatrix::from_rows(&rows).unwrap();
     let norms: Vec<f64> = rows.iter().map(|r| squared_norm(r)).collect();
-    let dmat = cosine_distance_matrix(&m, &norms, &m, &norms, TILE_Q, TILE_T);
     for i in 0..rows.len() {
         for j in 0..rows.len() {
             let naive = Distance::Cosine.eval(&rows[i], &rows[j]);
             let cached = cosine_with_sq_norms(&rows[i], &rows[j], norms[i], norms[j]);
             assert_eq!(naive.to_bits(), cached.to_bits(), "({i},{j})");
-            assert_eq!(
-                naive.to_bits(),
-                dmat[i * rows.len() + j].to_bits(),
-                "({i},{j})"
-            );
         }
     }
 }
 
 // -----------------------------------------------------------------
-// 2. blocked batch path: bit-identity at several tile shapes
+// 2. batch kNN predictions
 // -----------------------------------------------------------------
-
-#[test]
-fn batch_matrix_is_bit_identical_to_row_scoring_at_several_tile_shapes() {
-    let qs = vecs(19, 68, 7);
-    let ts = vecs(130, 68, 8);
-    let qm = DenseMatrix::from_rows(&qs).unwrap();
-    let tm = DenseMatrix::from_rows(&ts).unwrap();
-    let qn: Vec<f64> = qs.iter().map(|r| squared_norm(r)).collect();
-    let tn: Vec<f64> = ts.iter().map(|r| squared_norm(r)).collect();
-    let mut want = Vec::with_capacity(qs.len() * ts.len());
-    for q in &qs {
-        for (t, &n) in ts.iter().zip(&tn) {
-            want.push(cosine_with_sq_norms(q, t, squared_norm(q), n));
-        }
-    }
-    for (tq, tt) in [(1, 1), (3, 5), (TILE_Q, TILE_T), (64, 8), (1000, 1000)] {
-        let got = cosine_distance_matrix(&qm, &qn, &tm, &tn, tq, tt);
-        for (i, (a, b)) in got.iter().zip(&want).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "tile ({tq},{tt}) entry {i}");
-        }
-    }
-}
 
 #[test]
 fn knn_batch_predictions_are_bit_identical_to_row_predictions() {

@@ -392,6 +392,26 @@ fn stats_verb_returns_live_windows_and_joins_the_partition() {
     assert!(stats.contains("\"window\":\"5m\""), "{stats}");
     assert!(stats.contains("\"p99_ns\""), "{stats}");
     assert!(stats.contains("uptime_s"), "{stats}");
+    // The two counter views agree: the stats reply renders before its
+    // own seal, and the seal is what moves both.
+    let number_after = |needle: &str| -> u64 {
+        let at = stats
+            .find(needle)
+            .unwrap_or_else(|| panic!("{needle} in {stats}"))
+            + needle.len();
+        let digits: String = stats[at..]
+            .chars()
+            .take_while(char::is_ascii_digit)
+            .collect();
+        digits
+            .parse()
+            .unwrap_or_else(|_| panic!("{needle} in {stats}"))
+    };
+    assert_eq!(
+        number_after("\"pv.serve.request\":"),
+        number_after("\"totals\":{\"requests\":"),
+        "{stats}"
+    );
     // The verb is advertised to clients probing an unknown op.
     assert!(replies[2].contains("bad-request"), "{}", replies[2]);
     assert!(
